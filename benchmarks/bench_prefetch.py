@@ -22,7 +22,11 @@ Two record types, written to ``BENCH_prefetch.json``:
     ``np.memmap`` spill, the hot tier an admission-controlled row cache.
     The record asserts bit-identical outputs versus the un-tiered oracle
     and that **peak resident feature bytes stayed under the budget** while
-    the feature matrix itself exceeds it.
+    the feature matrix itself exceeds it.  It also carries
+    ``tiered_gather_vs_ndarray``: the median time of a warm 8k-row tiered
+    gather over the median time of ``features[rows]`` on the plain ndarray,
+    interleaved in one process — an in-run ratio ``check_bench.py`` gates,
+    so per-row Python cannot creep back onto the hit path unnoticed.
 
 Usage::
 
@@ -47,7 +51,7 @@ from repro.core import ServingConfig, ShardConfig
 from repro.experiments import ExperimentProfile
 from repro.experiments.context import TrainedContext, get_context
 from repro.serving import InferenceServer
-from repro.shard import ShardedPredictor
+from repro.shard import ShardedPredictor, TieredFeatureStore
 from repro.transport import FaultInjectingTransport, LocalTransport
 
 FULL_PROFILE = ExperimentProfile(
@@ -73,6 +77,10 @@ RTT_SECONDS = 0.005
 NUM_SHARDS = 2
 BATCH_SIZE = 32
 PREFETCH_DEPTH = 4
+#: Shape of the gather-ratio probe: one e2e-sized ``feature_rows`` request.
+GATHER_ROWS = 8192
+GATHER_COLS = 100
+GATHER_REPEATS = 21
 
 
 def _sharded(context: TrainedContext) -> ShardedPredictor:
@@ -189,6 +197,31 @@ def run_overlap_suite(context: TrainedContext, *, quick: bool) -> dict:
     return record
 
 
+def tiered_gather_vs_ndarray() -> float:
+    """Warm tiered gather time over plain ``features[rows]`` time (medians)."""
+    rng = np.random.default_rng(17)
+    features = rng.normal(size=(2 * GATHER_ROWS, GATHER_COLS)).astype(np.float32)
+    rows = np.sort(rng.choice(features.shape[0], size=GATHER_ROWS, replace=False))
+    store = TieredFeatureStore(features, budget_bytes=features.nbytes)
+    try:
+        store.get_rows(rows)  # admit: every later gather is all hits
+        if not np.array_equal(store.get_rows(rows), features[rows]):
+            raise AssertionError("tiered gather diverged from the ndarray")
+        tiered, plain = [], []
+        for _ in range(GATHER_REPEATS):
+            start = time.perf_counter()
+            store.get_rows(rows)
+            middle = time.perf_counter()
+            features[rows]
+            tiered.append(middle - start)
+            plain.append(time.perf_counter() - middle)
+        if store.report()["misses"] != GATHER_ROWS:
+            raise AssertionError("the timed gathers were not warm")
+    finally:
+        store.close()
+    return float(np.median(tiered) / np.median(plain))
+
+
 def run_tiered_suite(context: TrainedContext) -> dict:
     sharded = _sharded(context)
     store = sharded.store
@@ -227,6 +260,7 @@ def run_tiered_suite(context: TrainedContext) -> dict:
         "tiered_macs_equal": macs_equal,
         "macs_total": float(tiered.macs.total),
         "wall_seconds": wall,
+        "tiered_gather_vs_ndarray": tiered_gather_vs_ndarray(),
         "tiers": report["feature_tiers"],
     }
     if not (predictions_identical and depths_identical and macs_equal):
@@ -251,6 +285,7 @@ def run_bench(*, quick: bool = False) -> dict:
         f"tiered peak {tiered['peak_resident_nbytes'] / 1024:.0f}KiB of "
         f"{tiered['budget_bytes'] / 1024:.0f}KiB budget "
         f"(matrix {tiered['feature_matrix_nbytes'] / 1024:.0f}KiB) | "
+        f"warm gather x{tiered['tiered_gather_vs_ndarray']:.2f} of ndarray | "
         "bit-identical"
     )
 

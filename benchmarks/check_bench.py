@@ -1,8 +1,10 @@
 """CI bench-regression gate: equivalence fields must never drift.
 
-The benchmark reports (``BENCH_*.json``) mix two kinds of numbers: *timing*
-(wall seconds, throughput, latency percentiles — machine-dependent, never
-gated) and *equivalence* (bit-identical flags and MAC totals — deterministic
+The benchmark reports (``BENCH_*.json``) mix three kinds of numbers:
+*timing* (wall seconds, throughput, latency percentiles — machine-dependent,
+never gated), *in-run ratios* (two interleaved timings of one process,
+divided — gated against a fixed ceiling, see :func:`check_prefetch_report`)
+and *equivalence* (bit-identical flags and MAC totals — deterministic
 properties of the code, gated here).  This script loads freshly produced
 quick-run reports and compares their equivalence surface against the
 committed ``BENCH_*.json`` artifacts:
@@ -137,6 +139,34 @@ def check_wave_report(name: str, label: str, report: dict) -> list[str]:
     return failures
 
 
+#: A warm tiered gather may cost at most this many plain ``features[rows]``
+#: gathers (the per-row loop the slot table replaced measured ~100x).
+MAX_TIERED_GATHER_RATIO = 4.0
+
+
+def check_prefetch_report(name: str, label: str, report: dict) -> list[str]:
+    """Prefetch-specific gate: the tiered hot path stays array-native.
+
+    ``tiered_gather_vs_ndarray`` is an in-run ratio (same process, same
+    rows, interleaved), so unlike a wall time it is comparable across
+    machines: both the fresh report and the committed baseline must carry
+    it and keep it at or under :data:`MAX_TIERED_GATHER_RATIO`.
+    """
+    ratios = [
+        suite.get("tiered_gather_vs_ndarray")
+        for suite in report.get("suites", [])
+        if suite.get("suite") == "tiered_memory"
+    ]
+    if not ratios or not all(isinstance(ratio, (int, float)) for ratio in ratios):
+        return [f"{name}: {label} report carries no tiered_gather_vs_ndarray ratio"]
+    return [
+        f"{name}: {label} tiered_gather_vs_ndarray is {ratio:.2f}x, above the "
+        f"{MAX_TIERED_GATHER_RATIO:.0f}x ceiling"
+        for ratio in ratios
+        if not ratio <= MAX_TIERED_GATHER_RATIO
+    ]
+
+
 def check_report(name: str, fresh: dict, committed: dict) -> list[str]:
     """All mismatches between one fresh report and its committed baseline."""
     failures: list[str] = []
@@ -208,6 +238,13 @@ def main(argv: list[str] | None = None) -> int:
             )
             failures.extend(
                 check_wave_report(baseline_path.name, "committed", committed)
+            )
+        if baseline_path.name == "BENCH_prefetch.json":
+            failures.extend(
+                check_prefetch_report(baseline_path.name, "fresh", fresh)
+            )
+            failures.extend(
+                check_prefetch_report(baseline_path.name, "committed", committed)
             )
         checked += 1
 

@@ -137,21 +137,23 @@ class ShardServer:
                 try:
                     op, rows, trace = wire.decode_request_traced(payload)
                     started = time.monotonic()
-                    response = wire.encode_response(
+                    response = wire.response_parts(
                         op, answer_from_shard(self.shard, op, rows)
                     )
                     if trace is not None and self.trace_log is not None:
                         self._log_span(op, rows, trace, started)
                 except TransportError as error:
-                    response = wire.encode_error(str(error))
+                    response = [wire.encode_error(str(error))]
                 except Exception as error:  # noqa: BLE001 - shipped to client
-                    response = wire.encode_error(f"{type(error).__name__}: {error}")
+                    response = [
+                        wire.encode_error(f"{type(error).__name__}: {error}")
+                    ]
                 # One thread per connection: the counter needs the lock.
                 with self._conn_lock:
                     self.requests_served += 1
                 try:
-                    conn.sendall(wire.frame(response))
-                except OSError:
+                    wire.send_frame(conn, response)
+                except (OSError, TransportError):
                     return
         finally:
             with self._conn_lock:
@@ -343,7 +345,7 @@ class SocketTransport(ShardTransport):
         self._record_round(op, requests, payloads)
         return payloads
 
-    def _fetch_pipelined(self, op: str, requests: RequestBatch) -> list[bytes]:
+    def _fetch_pipelined(self, op: str, requests: RequestBatch) -> list[memoryview]:
         # Phase 1: write every request frame.  Multiple requests to one
         # shard keep their relative order, so responses on that connection
         # come back positionally.
@@ -352,7 +354,7 @@ class SocketTransport(ShardTransport):
         # Phase 2: read the response frames in request order.
         return [self._receive_frame(op, shard_id) for shard_id, _ in requests]
 
-    def _fetch_sequential(self, op: str, requests: RequestBatch) -> list[bytes]:
+    def _fetch_sequential(self, op: str, requests: RequestBatch) -> list[memoryview]:
         frames = []
         for shard_id, rows in requests:
             self._send(op, shard_id, rows)
@@ -365,10 +367,10 @@ class SocketTransport(ShardTransport):
             ctx = self.tracer.current()
             if ctx is not None:
                 trace = (ctx.trace_id, ctx.span_id)
-        data = wire.frame(wire.encode_request(op, rows, trace=trace))
+        parts = wire.request_parts(op, rows, trace=trace)
         conn = self._connection(op, shard_id)
         try:
-            conn.sendall(data)
+            self.wire_bytes_sent += wire.send_frame(conn, parts)
         except OSError as error:
             self._drop_connection(shard_id)
             raise TransportError(
@@ -376,9 +378,8 @@ class SocketTransport(ShardTransport):
                 op=op,
                 shard_id=shard_id,
             ) from error
-        self.wire_bytes_sent += len(data)
 
-    def _receive_frame(self, op: str, shard_id: int) -> bytes:
+    def _receive_frame(self, op: str, shard_id: int) -> memoryview:
         conn = self._connections.get(shard_id)
         if conn is None:
             raise TransportError(

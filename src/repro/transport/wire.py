@@ -18,6 +18,16 @@ body is a UTF-8 message re-raised at the client as
 little-endian buffers tagged with a dtype code, so a response decodes with
 one ``np.frombuffer`` per array — no pickling, no per-element parsing.
 
+A message is never re-materialised on its way through this module.  The
+encoders (:func:`request_parts`, :func:`response_parts`) return a short
+header plus *views* of the arrays, :func:`send_frame` hands those buffers
+to one gather write, :func:`read_frame` fills a single preallocated buffer
+with ``recv_into``, and the decoders take array views of that buffer at
+computed offsets.  Per side, a payload byte is copied once: array → kernel
+on send, kernel → receive buffer on read.  :func:`encode_request`,
+:func:`encode_response` and :func:`frame` are the same encodings joined
+into ``bytes`` — the form tests and tools compare against.
+
 OK bodies by operation::
 
     frontier_columns:  [u64 count]                      [int64 columns]
@@ -63,8 +73,13 @@ _DTYPES_BY_CODE = {code: dtype for dtype, code in _DTYPE_CODES.items()}
 MAX_FRAME_BYTES = 1 << 30
 
 
-def _i64(array: np.ndarray) -> bytes:
-    return np.ascontiguousarray(array, dtype="<i8").tobytes()
+def _raw(array, dtype=None) -> memoryview:
+    """The bytes of ``array`` (C order, optionally cast) as a flat view."""
+    return np.ascontiguousarray(array, dtype=dtype).reshape(-1).view(np.uint8).data
+
+
+def _i64(array) -> memoryview:
+    return _raw(array, "<i8")
 
 
 def _dtype_code(dtype: np.dtype) -> int:
@@ -90,10 +105,10 @@ def _dtype_from_code(code: int) -> np.dtype:
 TRACE_FLAG = 0x80
 
 
-def encode_request(
+def request_parts(
     op: str, rows: np.ndarray, *, trace: tuple[int, int] | None = None
-) -> bytes:
-    """Encode one request; ``trace=(trace_id, span_id)`` rides in-band.
+) -> list:
+    """One request as ``[head, rows view]``; ``trace`` rides in-band.
 
     A traced request sets :data:`TRACE_FLAG` on the opcode and inserts
     ``[u64 trace_id] [u64 span_id]`` between the head and the rows, so the
@@ -101,13 +116,19 @@ def encode_request(
     """
     rows = np.asarray(rows, dtype=np.int64)
     if trace is None:
-        return _REQ_HEAD.pack(OPCODES[op], rows.shape[0]) + _i64(rows)
-    trace_id, span_id = trace
-    return (
+        return [_REQ_HEAD.pack(OPCODES[op], rows.shape[0]), _i64(rows)]
+    return [
         _REQ_HEAD.pack(OPCODES[op] | TRACE_FLAG, rows.shape[0])
-        + _U64x2.pack(trace_id, span_id)
-        + _i64(rows)
-    )
+        + _U64x2.pack(*trace),
+        _i64(rows),
+    ]
+
+
+def encode_request(
+    op: str, rows: np.ndarray, *, trace: tuple[int, int] | None = None
+) -> bytes:
+    """:func:`request_parts` joined into one ``bytes`` payload."""
+    return b"".join(request_parts(op, rows, trace=trace))
 
 
 def decode_request(payload: bytes) -> tuple[str, np.ndarray]:
@@ -139,96 +160,142 @@ def encode_error(message: str) -> bytes:
     return bytes([STATUS_ERROR]) + message.encode("utf-8", errors="replace")
 
 
-def encode_response(op: str, payload) -> bytes:
+def response_parts(op: str, payload) -> list:
+    """One OK response as ``[head, array view, ...]`` — nothing is copied."""
     head = bytes([STATUS_OK])
     if op == OP_FRONTIER:
         cols = np.asarray(payload, dtype=np.int64)
-        return head + _U64.pack(cols.shape[0]) + _i64(cols)
+        return [head + _U64.pack(cols.shape[0]), _i64(cols)]
     if op == OP_ADJACENCY:
         assert isinstance(payload, AdjacencyRows)
-        data = np.ascontiguousarray(payload.data)
-        return (
+        return [
             head
-            + _U64.pack(payload.lengths.shape[0])
-            + _U64.pack(payload.columns.shape[0])
-            + bytes([_dtype_code(data.dtype)])
-            + _i64(payload.lengths)
-            + _i64(payload.columns)
-            + data.tobytes()
-        )
+            + _U64x2.pack(payload.lengths.shape[0], payload.columns.shape[0])
+            + bytes([_dtype_code(payload.data.dtype)]),
+            _i64(payload.lengths),
+            _i64(payload.columns),
+            _raw(payload.data),
+        ]
     if op == OP_FEATURES:
-        rows = np.ascontiguousarray(payload)
-        return (
-            head
-            + _U64.pack(rows.shape[0])
-            + _U64.pack(rows.shape[1])
-            + bytes([_dtype_code(rows.dtype)])
-            + rows.tobytes()
-        )
+        rows = np.asarray(payload)
+        return [
+            head + _U64x2.pack(*rows.shape) + bytes([_dtype_code(rows.dtype)]),
+            _raw(rows),
+        ]
     if op == OP_DEGREES:
-        degrees = np.ascontiguousarray(payload, dtype=np.float64)
-        return head + _U64.pack(degrees.shape[0]) + degrees.tobytes()
+        degrees = np.asarray(payload, dtype=np.float64)
+        return [head + _U64.pack(degrees.shape[0]), _raw(degrees)]
     raise ValueError(f"unknown transport operation {op!r}")
 
 
-def decode_response(op: str, payload: bytes):
+def encode_response(op: str, payload) -> bytes:
+    """:func:`response_parts` joined into one ``bytes`` payload."""
+    return b"".join(response_parts(op, payload))
+
+
+def decode_response(op: str, payload):
+    """Decode a response payload (any buffer) into views of that buffer."""
     status = payload[0]
     if status == STATUS_ERROR:
-        raise TransportError(
-            payload[1:].decode("utf-8", errors="replace"), op=op
-        )
+        message = str(memoryview(payload)[1:], "utf-8", errors="replace")
+        raise TransportError(message, op=op)
     if status != STATUS_OK:
         raise TransportError(f"corrupt response status {status}", op=op)
-    body = payload[1:]
+    offset = 1  # the body starts after the status byte
     if op == OP_FRONTIER:
-        (count,) = _U64.unpack_from(body)
-        return np.frombuffer(body, dtype="<i8", count=count, offset=_U64.size).astype(
-            np.int64, copy=False
-        )
+        (count,) = _U64.unpack_from(payload, offset)
+        return np.frombuffer(
+            payload, dtype="<i8", count=count, offset=offset + _U64.size
+        ).astype(np.int64, copy=False)
     if op == OP_ADJACENCY:
-        num_rows, nnz = _U64x2.unpack_from(body)
-        dtype = _dtype_from_code(body[2 * _U64.size])
-        offset = 2 * _U64.size + 1
-        lengths = np.frombuffer(body, dtype="<i8", count=num_rows, offset=offset)
+        num_rows, nnz = _U64x2.unpack_from(payload, offset)
+        offset += _U64x2.size
+        dtype = _dtype_from_code(payload[offset])
+        offset += 1
+        lengths = np.frombuffer(payload, dtype="<i8", count=num_rows, offset=offset)
         offset += lengths.nbytes
-        columns = np.frombuffer(body, dtype="<i8", count=nnz, offset=offset)
+        columns = np.frombuffer(payload, dtype="<i8", count=nnz, offset=offset)
         offset += columns.nbytes
-        data = np.frombuffer(body, dtype=dtype.newbyteorder("<"), count=nnz, offset=offset)
+        data = np.frombuffer(
+            payload, dtype=dtype.newbyteorder("<"), count=nnz, offset=offset
+        )
         return AdjacencyRows(
             lengths=lengths.astype(np.int64, copy=False),
             columns=columns.astype(np.int64, copy=False),
             data=data.astype(dtype, copy=False),
         )
     if op == OP_FEATURES:
-        num_rows, num_cols = _U64x2.unpack_from(body)
-        dtype = _dtype_from_code(body[2 * _U64.size])
-        offset = 2 * _U64.size + 1
+        num_rows, num_cols = _U64x2.unpack_from(payload, offset)
+        offset += _U64x2.size
+        dtype = _dtype_from_code(payload[offset])
         flat = np.frombuffer(
-            body, dtype=dtype.newbyteorder("<"), count=num_rows * num_cols, offset=offset
+            payload,
+            dtype=dtype.newbyteorder("<"),
+            count=num_rows * num_cols,
+            offset=offset + 1,
         )
         return flat.astype(dtype, copy=False).reshape(num_rows, num_cols)
     if op == OP_DEGREES:
-        (num_rows,) = _U64.unpack_from(body)
-        return np.frombuffer(body, dtype="<f8", count=num_rows, offset=_U64.size).astype(
-            np.float64, copy=False
-        )
+        (num_rows,) = _U64.unpack_from(payload, offset)
+        return np.frombuffer(
+            payload, dtype="<f8", count=num_rows, offset=offset + _U64.size
+        ).astype(np.float64, copy=False)
     raise ValueError(f"unknown transport operation {op!r}")
 
 
-def frame(payload: bytes) -> bytes:
-    """Length-prefix ``payload`` into one wire frame."""
-    if len(payload) > MAX_FRAME_BYTES:
+def _check_frame_length(
+    length: int, *, op: str | None = None, shard_id: int | None = None
+) -> None:
+    if length > MAX_FRAME_BYTES:
         raise TransportError(
-            f"frame of {len(payload)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
+            f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
             retryable=False,
+            op=op,
+            shard_id=shard_id,
         )
+
+
+def frame(payload: bytes) -> bytes:
+    """Length-prefix ``payload`` into one wire frame (the ``bytes`` form)."""
+    _check_frame_length(len(payload))
     return _LEN.pack(len(payload)) + payload
+
+
+def send_frame(sock, parts) -> int:
+    """Write ``parts`` as one frame with gather writes; returns bytes sent.
+
+    Emits exactly ``frame(b"".join(parts))`` without building it: the
+    length prefix and every part go to ``sendmsg`` as separate buffers (one
+    syscall unless the kernel takes a partial write).  ``OSError`` from the
+    socket propagates — the caller owns the connection's fate.
+    """
+    pending = [memoryview(part) for part in parts if len(part)]
+    length = sum(view.nbytes for view in pending)
+    _check_frame_length(length)
+    pending.insert(0, memoryview(_LEN.pack(length)))
+    while pending:
+        sent = sock.sendmsg(pending)
+        while pending and sent >= pending[0].nbytes:
+            sent -= pending.pop(0).nbytes
+        if sent:
+            pending[0] = pending[0][sent:]
+    return _LEN.size + length
+
+
+#: Payloads are read at this offset of a fresh (aligned) buffer so that the
+#: response body — one status byte in — and with it every 8-byte array that
+#: directly follows a u64 header starts on an 8-byte boundary.
+_BODY_ALIGN_PAD = 7
 
 
 def read_frame(
     sock, *, op: str | None = None, shard_id: int | None = None
-) -> bytes | None:
+) -> memoryview | None:
     """Read one frame from ``sock``; ``None`` on clean EOF at a boundary.
+
+    The payload is received straight into one preallocated buffer and
+    returned as a read-only view of it; the decoders hand out array views
+    of the same memory.
 
     Raises :class:`~repro.exceptions.TransportError` on a mid-frame
     disconnect (short read) — the caller must treat the connection as dead.
@@ -237,47 +304,49 @@ def read_frame(
     endpoint from ``error.shard_id``, and an anonymous error forces it to
     implicate the whole sub-round instead of exactly the dead replica.
     """
-    header = _read_exact(sock, _LEN.size, eof_ok=True, op=op, shard_id=shard_id)
-    if header is None:
+    header = bytearray(_LEN.size)
+    if not _read_exact(sock, memoryview(header), eof_ok=True, op=op, shard_id=shard_id):
         return None
     (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise TransportError(
-            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte cap",
-            retryable=False,
-            op=op,
-            shard_id=shard_id,
-        )
-    payload = _read_exact(sock, length, eof_ok=False, op=op, shard_id=shard_id)
-    assert payload is not None
-    return payload
+    _check_frame_length(length, op=op, shard_id=shard_id)
+    buffer = np.empty(_BODY_ALIGN_PAD + length, dtype=np.uint8)
+    payload = memoryview(buffer)[_BODY_ALIGN_PAD:]
+    _read_exact(sock, payload, eof_ok=False, op=op, shard_id=shard_id)
+    return payload.toreadonly()
 
 
 def _read_exact(
     sock,
-    count: int,
+    view: memoryview,
     *,
     eof_ok: bool,
     op: str | None = None,
     shard_id: int | None = None,
-) -> bytes | None:
-    chunks = []
+) -> bool:
+    """Fill ``view`` from ``sock``; false on EOF before the first byte."""
+    # Duck-typed sockets that only implement ``recv`` still work.
+    recv_into = getattr(sock, "recv_into", None)
+    count = len(view)
     got = 0
     while got < count:
         try:
-            chunk = sock.recv(min(count - got, 1 << 20))
+            if recv_into is not None:
+                received = recv_into(view[got:])
+            else:
+                chunk = sock.recv(count - got)
+                received = len(chunk)
+                view[got : got + received] = chunk
         except OSError as error:
             raise TransportError(
                 f"socket read failed: {error}", op=op, shard_id=shard_id
             ) from error
-        if not chunk:
+        if not received:
             if eof_ok and got == 0:
-                return None
+                return False
             raise TransportError(
                 f"connection closed mid-frame ({got}/{count} bytes read)",
                 op=op,
                 shard_id=shard_id,
             )
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+        got += received
+    return True

@@ -54,13 +54,13 @@ def baseline_report():
     }
 
 
-def write_pair(tmp_path, baseline, fresh):
+def write_pair(tmp_path, baseline, fresh, name="BENCH_serving.json"):
     baseline_dir = tmp_path / "baseline"
     fresh_dir = tmp_path / "fresh"
     baseline_dir.mkdir()
     fresh_dir.mkdir()
-    (baseline_dir / "BENCH_serving.json").write_text(json.dumps(baseline))
-    (fresh_dir / "BENCH_serving.json").write_text(json.dumps(fresh))
+    (baseline_dir / name).write_text(json.dumps(baseline))
+    (fresh_dir / name).write_text(json.dumps(fresh))
     return baseline_dir, fresh_dir
 
 
@@ -152,3 +152,54 @@ class TestGateFails:
             tmp_path, baseline_report, {"quick": True, "suites": []}
         )
         assert run_gate(check_bench, baseline_dir, fresh_dir) == 1
+
+
+# ---------------------------------------------------------------------- #
+# In-run ratio gate: the tiered hot path must stay array-native
+# ---------------------------------------------------------------------- #
+@pytest.fixture()
+def prefetch_report():
+    return {
+        "benchmark": "bench_prefetch",
+        "quick": True,
+        "suites": [
+            {"suite": "prefetch_overlap", "predictions_equal": True},
+            {
+                "suite": "tiered_memory",
+                "tiered_predictions_identical": True,
+                "tiered_gather_vs_ndarray": 1.4,
+            },
+        ],
+    }
+
+
+def write_prefetch_pair(tmp_path, baseline, fresh):
+    return write_pair(tmp_path, baseline, fresh, name="BENCH_prefetch.json")
+
+
+class TestTieredGatherRatioGate:
+    def test_ratio_under_the_ceiling_passes(self, check_bench, prefetch_report, tmp_path):
+        fresh = copy.deepcopy(prefetch_report)
+        fresh["suites"][1]["tiered_gather_vs_ndarray"] = 3.9  # noisy, still fine
+        dirs = write_prefetch_pair(tmp_path, prefetch_report, fresh)
+        assert run_gate(check_bench, *dirs) == 0
+
+    def test_per_row_loop_in_the_fresh_report_fails(
+        self, check_bench, prefetch_report, tmp_path
+    ):
+        fresh = copy.deepcopy(prefetch_report)
+        fresh["suites"][1]["tiered_gather_vs_ndarray"] = 97.0  # the old loop
+        dirs = write_prefetch_pair(tmp_path, prefetch_report, fresh)
+        assert run_gate(check_bench, *dirs) == 1
+
+    def test_slow_committed_baseline_fails(self, check_bench, prefetch_report, tmp_path):
+        slow = copy.deepcopy(prefetch_report)
+        slow["suites"][1]["tiered_gather_vs_ndarray"] = 4.5
+        dirs = write_prefetch_pair(tmp_path, slow, prefetch_report)
+        assert run_gate(check_bench, *dirs) == 1
+
+    def test_dropped_ratio_fails(self, check_bench, prefetch_report, tmp_path):
+        fresh = copy.deepcopy(prefetch_report)
+        del fresh["suites"][1]["tiered_gather_vs_ndarray"]
+        dirs = write_prefetch_pair(tmp_path, prefetch_report, fresh)
+        assert run_gate(check_bench, *dirs) == 1
