@@ -47,6 +47,7 @@ import numpy as np
 from repro.core import ServingConfig, ShardConfig
 from repro.experiments import ExperimentProfile
 from repro.experiments.context import TrainedContext, get_context
+from repro.serving import ClusterBuilder
 from repro.serving.clock import FakeClock
 from repro.shard import GraphPartitioner, ShardRouter, ShardedPredictor
 from repro.transport import (
@@ -137,16 +138,16 @@ def run_failover_suite(
                 # whole remaining workload fails over to rail 1.
                 for shard_id in range(num_shards):
                     rails[0].schedule_kill(shard_id, 2, replica_index=0)
-            store.use_replicated_transport(
+            ClusterBuilder(sharded).replicated(
                 rails, retry_policy=FAST_RETRY, clock=FakeClock()
-            )
+            ).build_predictor()
             transport = store.transport
             try:
                 start = time.perf_counter()
                 result = sharded.predict(test_idx)
                 wall = time.perf_counter() - start
             finally:
-                store.use_transport(LocalTransport(store.shards))
+                sharded.use_transport(LocalTransport(store.shards))
                 transport.close()
             label = f"{dataset_name}/x{num_shards}/kills={kills}"
             _assert_bit_identical(label, result, baseline)

@@ -233,9 +233,9 @@ def run_routed_tracing_suite(
 
     walls: dict[str, float] = {}
     tracer = Tracer(TraceRecorder(capacity=65536))
+    # Untraced first: a traced router attaches its tracer to the shared store,
+    # which keeps it.
     for mode, mode_tracer in (("untraced", None), ("traced", tracer)):
-        # The store keeps whatever tracer was last attached; pin it per run.
-        sharded.store.use_tracer(mode_tracer)
         with ShardRouter(sharded, serving, tracer=mode_tracer) as router:
             start = time.perf_counter()
             responses = router.predict_many(requests, timeout=600.0)
@@ -253,7 +253,6 @@ def run_routed_tracing_suite(
             np.concatenate([r.depths for r in responses]),
             oracle_depths,
         )
-    sharded.store.use_tracer(None)
 
     spans = tracer.spans()
     span_counts = TallyCounter(span.name for span in spans)

@@ -17,8 +17,8 @@ Two record types, written to ``BENCH_prefetch.json``:
 
 ``tiered_memory``
     The same deployment re-served after
-    :meth:`~repro.shard.store.ShardedGraphStore.use_tiered_features` caps
-    resident feature bytes at a quarter of the matrix: the cold tier is an
+    :meth:`~repro.serving.ClusterBuilder.tiered_features` caps resident
+    feature bytes at a quarter of the matrix: the cold tier is an
     ``np.memmap`` spill, the hot tier an admission-controlled row cache.
     The record asserts bit-identical outputs versus the un-tiered oracle
     and that **peak resident feature bytes stayed under the budget** while
@@ -50,7 +50,7 @@ import numpy as np
 from repro.core import ServingConfig, ShardConfig
 from repro.experiments import ExperimentProfile
 from repro.experiments.context import TrainedContext, get_context
-from repro.serving import InferenceServer
+from repro.serving import ClusterBuilder, InferenceServer
 from repro.shard import ShardedPredictor, TieredFeatureStore
 from repro.transport import FaultInjectingTransport, LocalTransport
 
@@ -108,7 +108,7 @@ def _serve(sharded, batches, *, prefetch_depth: int) -> dict:
     store = sharded.store
     # Fresh transport per run: both runs see identical cold state and the
     # same injected RTT on every round.
-    store.use_transport(
+    sharded.use_transport(
         FaultInjectingTransport(
             LocalTransport(store.shards), latency_seconds=RTT_SECONDS
         )
@@ -127,7 +127,7 @@ def _serve(sharded, batches, *, prefetch_depth: int) -> dict:
             wall = time.perf_counter() - start
             stats = server.stats()
     finally:
-        store.use_transport(LocalTransport(store.shards))
+        sharded.use_transport(LocalTransport(store.shards))
     nodes = sum(int(batch.shape[0]) for batch in batches)
     return {
         "prefetch_depth": prefetch_depth,
@@ -231,7 +231,7 @@ def run_tiered_suite(context: TrainedContext) -> dict:
         np.asarray(shard.features).nbytes for shard in store.shards
     )
     budget = feature_nbytes // 4
-    store.use_tiered_features(budget)
+    ClusterBuilder(sharded).tiered_features(budget).build_predictor()
     start = time.perf_counter()
     tiered = sharded.predict(targets)
     wall = time.perf_counter() - start

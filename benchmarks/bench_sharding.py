@@ -18,13 +18,6 @@ Four record types, written to ``BENCH_sharding.json``:
     wall clock, throughput, and bit-identical predictions/depths against the
     sequential oracle.
 
-``worker_backends``
-    The thread-vs-fork :class:`~repro.serving.WorkerPool` comparison the
-    ROADMAP multi-core question asks for, on the streaming workload of
-    ``bench_serving.py --scaling``: 1-thread baseline, N threads, N forked
-    processes.  On a single-core container both land near 1x — recorded
-    honestly; on multi-core hardware the same records quantify the pool.
-
 ``subsystem_caches``
     The two serving-cache satellites measured end to end: a permuted
     recurring stream served with canonical subgraph-cache keys (hits despite
@@ -241,50 +234,6 @@ def run_routed_serving_suite(
     return records
 
 
-def run_worker_backend_suite(
-    context: TrainedContext, dataset_name: str, *, tick_size: int,
-    num_ticks: int, distinct: int,
-) -> dict:
-    """Thread vs fork-process pool on the streaming workload (ROADMAP item)."""
-    predictor = _predictor(context, batch_size=tick_size)
-    rng = np.random.default_rng(7)
-    test_idx = np.asarray(context.dataset.split.test_idx)
-    pool = [
-        batch for batch in batch_iterator(rng.permutation(test_idx), tick_size)
-        if batch.shape[0] == tick_size
-    ][:distinct]
-    order = list(range(len(pool)))
-    order += list(rng.integers(0, len(pool), size=max(0, num_ticks - len(pool))))
-    ticks = [pool[i] for i in order]
-
-    walls = {}
-    for label, workers, backend in (
-        ("1_thread", 1, "thread"),
-        (f"{WORKERS}_threads", WORKERS, "thread"),
-        (f"{WORKERS}_processes", WORKERS, "process"),
-    ):
-        config = ServingConfig(
-            num_workers=workers, backend=backend, max_batch_size=tick_size,
-            max_wait_ms=0.5, cache_capacity=0,
-        )
-        with InferenceServer(predictor, config) as server:
-            start = time.perf_counter()
-            server.predict_many(ticks, timeout=600.0)
-            walls[label] = time.perf_counter() - start
-    return {
-        "suite": "worker_backends",
-        "dataset": dataset_name,
-        "ticks": len(ticks),
-        "tick_size": tick_size,
-        "wall_seconds": walls,
-        "thread_pool_speedup": walls["1_thread"] / walls[f"{WORKERS}_threads"],
-        "fork_pool_speedup": walls["1_thread"] / walls[f"{WORKERS}_processes"],
-        "fork_vs_thread": (
-            walls[f"{WORKERS}_threads"] / walls[f"{WORKERS}_processes"]
-        ),
-    }
-
-
 def run_cache_suite(
     context: TrainedContext, dataset_name: str, *, tick_size: int, num_ticks: int,
     distinct: int,
@@ -366,17 +315,12 @@ def run_bench(*, quick: bool = False) -> dict:
             context, dataset_name, request_size=request_size,
             max_batch_size=tick_size, num_requests=num_requests,
         )
-        backends = run_worker_backend_suite(
-            context, dataset_name, tick_size=tick_size, num_ticks=num_ticks,
-            distinct=distinct,
-        )
         caches = run_cache_suite(
             context, dataset_name, tick_size=tick_size, num_ticks=num_ticks,
             distinct=distinct,
         )
         suites.extend(equivalence)
         suites.extend(routed)
-        suites.append(backends)
         suites.append(caches)
         worst = max(
             (r for r in equivalence if r["num_shards"] == max(SHARD_COUNTS)),
@@ -386,8 +330,7 @@ def run_bench(*, quick: bool = False) -> dict:
             f"{dataset_name:12s} equivalence: bit-identical across "
             f"{len(equivalence)} shardings | x{worst['num_shards']} state ratio "
             f"{worst['per_shard_state_ratio']:.2f} (bound {worst['state_ratio_bound']:.2f}) "
-            f"| thread x{backends['thread_pool_speedup']:.2f} fork "
-            f"x{backends['fork_pool_speedup']:.2f} | result-cache hit "
+            f"| result-cache hit "
             f"{caches['result_cache_hit_rate']:.0%}"
         )
 

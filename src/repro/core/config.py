@@ -176,12 +176,6 @@ class ServingConfig:
         Size of the inference worker pool.  Each worker owns a private
         :class:`~repro.core.inference.BatchEngine` (its own double buffers
         and raw CSR state), so independent micro-batches run concurrently.
-    backend:
-        ``"thread"`` (default — scipy's compiled SpMM kernels run outside
-        the interpreter lock) or ``"process"`` (fork-based pool for fully
-        GIL-free execution; supporting-subgraph cache reuse is disabled
-        because shipping CSR arrays across the process boundary costs more
-        than rebuilding them).
     max_batch_size:
         Node budget of one micro-batch: the dynamic batcher coalesces queued
         requests until adding the next one would exceed this many nodes.  A
@@ -246,40 +240,38 @@ class ServingConfig:
         Maximum number of per-request latency samples retained for the
         percentile statistics (oldest samples are dropped first).
     prefetch_depth:
-        Number of speculative support fetches the asynchronous prefetch
-        pipeline (:class:`~repro.serving.prefetch.PrefetchPipeline`) may
-        have outstanding.  ``0`` (default) disables prefetch — the
-        dispatcher builds cache-missed bundles inline, serializing
-        transport fetch with compute.  Positive values hand misses to that
-        many background fetcher threads so batch N+1's cross-shard fetch
-        rounds overlap batch N's compute; served results stay bit-identical
-        (bundles are canonical-key interchangeable and sampling executes no
-        MACs).  Requires the supporting-subgraph cache, i.e. the
-        ``"thread"`` backend, the fused engine and ``cache_capacity > 0``.
+        Number of fetcher threads — and of support fetches outstanding — in
+        the asynchronous prefetch pipeline
+        (:class:`~repro.serving.prefetch.PrefetchPipeline`).  ``0``
+        (default) resolves a subgraph-cache miss inline on the dispatcher,
+        serializing transport fetch with compute.  Positive values hand
+        each missed dispatch unit to a background fetcher, which runs the
+        same resolve step, so unit N+1's cross-shard fetch rounds overlap
+        unit N's compute; served results stay bit-identical (bundles are
+        canonical-key interchangeable and sampling executes no MACs).
+        Requires the supporting-subgraph cache, i.e. the fused engine and
+        ``cache_capacity > 0``; composes with any ``wave_width``.
     wave_width:
-        Maximum number of ready micro-batches the dispatcher may fuse into
-        one cross-request **wave** (:mod:`repro.serving.wave`).  ``1``
-        (default) keeps the pre-wave dispatch path byte-for-byte.  Values
-        above 1 make the dispatcher drain up to that many already-coalesced
-        batches, union their node sets, run a single propagation sweep over
-        the union support and scatter per-request results back —
-        bit-identical to isolated execution, with shared propagation MACs
-        attributed pro-rata to the member batches.  Requires the
-        ``"thread"`` backend and the fused engine, and is mutually
-        exclusive with ``prefetch_depth > 0`` (waves subsume the prefetch
-        pipeline's miss handling).
+        Maximum number of ready micro-batches the dispatcher fuses into one
+        dispatch unit (a cross-request **wave**, :mod:`repro.serving.wave`).
+        After the first coalesced micro-batch it drains, without waiting,
+        up to ``wave_width - 1`` more that are already formed; ``1``
+        (default) therefore always dispatches units of one.  A unit of two
+        or more runs a single propagation sweep over the union support and
+        scatters per-request results back — bit-identical to isolated
+        execution, with shared propagation MACs attributed pro-rata to the
+        member batches.  Values above 1 require the fused engine.
     cache_subset_lookups:
         When ``True``, a :class:`~repro.serving.SubgraphCache` miss on a
-        wave's union key falls back to scanning for a cached **superset**
-        bundle and slicing the requested support out of it (bit-identical
-        to a fresh build).  Subset hits refresh recency through the
-        ``peek()`` path and are counted separately from exact hits, so the
-        serving hit/miss ledger stays torn-free.  Only consulted by the
-        wave dispatcher; the default ``False`` keeps lookup costs O(1).
+        dispatch unit's exact key falls back to scanning for a cached
+        **superset** bundle and slicing the requested support out of it
+        (bit-identical to a fresh build).  Subset hits refresh recency
+        through the ``peek()`` path and are counted separately from exact
+        hits, so the serving hit/miss ledger stays torn-free.  The default
+        ``False`` keeps lookup costs O(1).  Requires the cache.
     """
 
     num_workers: int = 4
-    backend: str = "thread"
     max_batch_size: int = 256
     max_wait_ms: float = 2.0
     batch_policy: str = "static"
@@ -303,10 +295,6 @@ class ServingConfig:
         if self.num_workers < 1:
             raise ConfigurationError(
                 f"num_workers must be positive, got {self.num_workers}"
-            )
-        if self.backend not in ("thread", "process"):
-            raise ConfigurationError(
-                f"backend must be 'thread' or 'process', got {self.backend!r}"
             )
         if self.max_batch_size < 1:
             raise ConfigurationError(
@@ -387,16 +375,6 @@ class ServingConfig:
         if self.wave_width < 1:
             raise ConfigurationError(
                 f"wave_width must be positive, got {self.wave_width}"
-            )
-        if self.wave_width > 1 and self.backend != "thread":
-            raise ConfigurationError(
-                "wave_width > 1 requires the 'thread' backend (the wave "
-                "dispatcher ships pre-built union bundles to the workers)"
-            )
-        if self.wave_width > 1 and self.prefetch_depth > 0:
-            raise ConfigurationError(
-                "wave_width > 1 is mutually exclusive with prefetch_depth > 0 "
-                "(the wave dispatcher owns miss handling for its members)"
             )
 
     def with_updates(self, **kwargs) -> "ServingConfig":

@@ -13,8 +13,8 @@ offline :class:`~repro.core.NAIPredictor` into that service:
   :class:`MarginalLatencyPolicy`) that moves those limits with load;
 * :class:`SubgraphCache` — LRU reuse of supporting-subgraph bundles across
   recurring batches of a streaming workload;
-* :class:`WorkerPool` — thread (default) or fork-process workers, each
-  owning a private :class:`~repro.core.inference.BatchEngine`;
+* :class:`WorkerPool` — worker threads, each owning a private
+  :class:`~repro.core.inference.BatchEngine`;
 * :class:`PrefetchPipeline` — background fetchers that overlap a sharded
   deployment's cross-shard support fetch rounds with the pool's compute
   (``ServingConfig.prefetch_depth``; see ``docs/prefetch.md``);
@@ -30,7 +30,7 @@ for the throughput/equivalence benchmark behind ``BENCH_serving.json``.
 from .batcher import MicroBatch, MicroBatcher
 from .cache import CacheCounters, CachedResult, ResultCache, SubgraphCache
 from .clock import MONOTONIC_CLOCK, Clock, FakeClock, MonotonicClock
-from .prefetch import BusyTracker, PrefetchPipeline, PrefetchTask
+from .prefetch import BusyTracker, PrefetchPipeline
 from .controller import (
     BatchController,
     BatchLimits,
@@ -78,7 +78,6 @@ __all__ = [
     "MicroBatcher",
     "MonotonicClock",
     "PrefetchPipeline",
-    "PrefetchTask",
     "QueuePressurePolicy",
     "RequestQueue",
     "ResultCache",

@@ -1,10 +1,10 @@
 """One fluent entry point for standing up a sharded serving fleet.
 
-Configuring a fleet used to mean walking three layers by hand — prepare
-the :class:`~repro.shard.ShardedPredictor`, mutate its store
-(``use_transport`` / ``use_replicated_transport`` / ``use_tiered_features``
-/ ``use_tracer``), then wrap a :class:`~repro.shard.ShardRouter` around it.
-:class:`ClusterBuilder` subsumes all of that behind one declarative chain::
+Standing a fleet up means walking three layers — prepare the
+:class:`~repro.shard.ShardedPredictor`, wire its store (transport, replica
+rails, feature tiers, tracer), then wrap a :class:`~repro.shard.ShardRouter`
+around it.  :class:`ClusterBuilder` is the one public way to do that, behind
+one declarative chain::
 
     cluster = (
         ClusterBuilder(predictor)
@@ -22,10 +22,10 @@ the :class:`~repro.shard.ShardedPredictor`, mutate its store
 Every step records intent; nothing touches the predictor until
 :meth:`ClusterBuilder.build`, which applies the steps in dependency order
 (prepare → transport → feature tiers → router) and returns a
-:class:`Cluster` — a thin lifecycle wrapper over the router.  The old
-store mutators remain as :class:`DeprecationWarning` shims that delegate
-to the same internal setters the builder uses, so existing deployments
-keep working while migrating.
+:class:`Cluster` — a thin lifecycle wrapper over the router.  The store's
+own setters are internal; the one other supported hook is
+:meth:`~repro.shard.ShardedPredictor.use_transport`, for swapping the fetch
+backend of an already-prepared predictor.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class ClusterBuilder:
     def transport(self, transport) -> "ClusterBuilder":
         """Fetch through ``transport`` — an instance, or a callable of the store.
 
-        Subsumes ``prepare(transport=...)`` and ``use_transport``.
+        Subsumes ``prepare(transport=...)``.
         Mutually exclusive with :meth:`replicated`, which builds its own
         transport.
         """
@@ -112,7 +112,7 @@ class ClusterBuilder:
         return self
 
     def replicated(self, rails=None, **kwargs) -> "ClusterBuilder":
-        """Fetch through replica rails (``use_replicated_transport`` knobs).
+        """Fetch through replica rails (:class:`~repro.transport.ReplicatedTransport` knobs).
 
         ``rails`` is an int (build that many in-process rails), a list of
         :class:`~repro.transport.ShardTransport` rails, a callable taking
@@ -124,7 +124,7 @@ class ClusterBuilder:
         return self
 
     def tiered_features(self, budget_bytes: int, **kwargs) -> "ClusterBuilder":
-        """Cap resident feature rows fleet-wide (``use_tiered_features`` knobs)."""
+        """Cap resident feature rows fleet-wide (``storage_dir``/``degree_weight`` pass through)."""
         self._tiered = {"budget_bytes": budget_bytes, **kwargs}
         return self
 

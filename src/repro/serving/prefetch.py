@@ -8,8 +8,9 @@ the single dispatcher thread idles for full round-trip times while the pool
 sits ready — fetch and compute are serialized (ROADMAP open item 3).
 
 :class:`PrefetchPipeline` removes that stall.  On a subgraph-cache miss the
-dispatcher no longer builds the bundle inline: it enqueues a *prefetch task*
-and immediately returns to coalescing the next micro-batch, while a small
+dispatcher no longer builds the bundle inline: it enqueues the dispatch unit
+itself (a unit of one micro-batch or a fused wave — the pipeline never looks
+inside) and immediately returns to forming the next one, while a small
 crew of fetcher threads (``ServingConfig.prefetch_depth`` of them, each
 owning a private engine for its transport state) drives the fetch rounds and
 submits the finished batch to the pool itself.  Batch N+1's fetch rounds
@@ -45,10 +46,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable
-
-import numpy as np
 
 from ..exceptions import ConfigurationError, ServingError
 
@@ -95,25 +93,6 @@ class BusyTracker:
             return busy
 
 
-@dataclass
-class PrefetchTask:
-    """One micro-batch whose support fetch was handed to the pipeline.
-
-    Carries everything the dispatcher had already resolved — the canonical
-    node-set and its permutation, both cache keys, and the batch trace
-    context — so the fetcher finishes the batch exactly as the inline path
-    would have.
-    """
-
-    micro_batch: Any
-    sorted_ids: np.ndarray
-    rank: np.ndarray
-    cache_key: bytes
-    result_key: bytes | None = None
-    canonical_idx: np.ndarray | None = None
-    batch_ctx: Any = None
-
-
 class PrefetchPipeline:
     """Bounded crew of fetcher threads that build support bundles off-loop.
 
@@ -125,10 +104,13 @@ class PrefetchPipeline:
       buffers);
     * ``execute(task, engine)`` — build the bundle and submit the batch
       (the server's fetch-and-submit path);
-    * ``cancel(task, error)`` — fail the task's requests (the server's
-      micro-batch failure path).  Invoked for tasks whose ``execute``
-      raised *and* for tasks still queued at :meth:`stop` — every accepted
-      task reaches exactly one of ``execute``-completed or ``cancel``.
+    * ``cancel(task, error)`` — fail the task's requests (the server's one
+      failure path).  Invoked for tasks whose ``execute`` raised *and* for
+      tasks still queued at :meth:`stop` — every accepted task reaches
+      exactly one of ``execute``-completed or ``cancel``.
+
+    A task is opaque here — whatever object the owner queues (the server
+    queues its dispatch units) comes back in ``execute`` or ``cancel``.
 
     ``depth`` bounds the speculation: :meth:`submit` blocks once ``depth``
     tasks are queued or fetching, which is the backpressure that keeps the
@@ -139,8 +121,8 @@ class PrefetchPipeline:
         self,
         *,
         make_engine: Callable[[], Any],
-        execute: Callable[[PrefetchTask, Any], None],
-        cancel: Callable[[PrefetchTask, BaseException], None],
+        execute: Callable[[Any, Any], None],
+        cancel: Callable[[Any, BaseException], None],
         depth: int,
         name: str = "nai-prefetch",
     ) -> None:
@@ -153,7 +135,7 @@ class PrefetchPipeline:
         self._execute = execute
         self._cancel = cancel
         self._cv = threading.Condition()
-        self._tasks: deque[PrefetchTask] = deque()
+        self._tasks: deque[Any] = deque()
         self._slots = threading.BoundedSemaphore(depth)
         self._stopped = False
         self._threads = [
@@ -168,7 +150,7 @@ class PrefetchPipeline:
     def stopped(self) -> bool:
         return self._stopped
 
-    def submit(self, task: PrefetchTask) -> None:
+    def submit(self, task: Any) -> None:
         """Queue one fetch; blocks while ``depth`` tasks are outstanding."""
         # Acquire in short slices so a submitter blocked on a full pipeline
         # notices a concurrent stop() instead of waiting forever.

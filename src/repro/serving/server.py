@@ -1,17 +1,28 @@
-"""The online inference server: queue → micro-batcher → worker pool → stats.
+"""The online inference server: queue → micro-batcher → dispatch pipeline → stats.
 
 :class:`InferenceServer` turns a prepared :class:`~repro.core.NAIPredictor`
 into a service.  Callers :meth:`~InferenceServer.submit` node-id arrays and
 receive a request handle whose :meth:`~repro.serving.queue.InferenceRequest.
 result` blocks for the :class:`~repro.serving.queue.ServingResponse`.
-Internally a dispatcher thread drains the bounded request queue through the
-dynamic micro-batcher, consults the supporting-subgraph cache, and fans the
-resulting micro-batches out across the worker pool; completions are split
-back into per-request responses and folded into the serving statistics.
 
-Served predictions are bit-identical to ``NAIPredictor.predict``: batching
-changes *which* supporting subgraph is propagated, never the per-node
-result, and cache replays skip only MAC-free sampling work.
+One dispatcher thread drains the bounded request queue through the dynamic
+micro-batcher and pushes every :class:`DispatchUnit` through the same four
+stages (``docs/serving.md``, "Dispatch pipeline"):
+
+1. **form** — the first coalesced micro-batch plus a zero-wait drain of up to
+   ``wave_width - 1`` already-ready ones;
+2. **resolve support** — exact subgraph-cache hit → superset slice (when
+   ``cache_subset_lookups``) → build; a miss runs the same function on the
+   dispatcher (``prefetch_depth == 0``) or on a prefetch fetcher thread;
+3. **submit** — one work item per unit to the worker pool;
+4. **complete** — scatter the sweep into per-request responses, stats and
+   spans; a unit of two or more members first splits the sweep's MACs exactly
+   (:func:`~repro.serving.wave.attribute_wave_macs`).
+
+A failure in any stage reaches the one :meth:`InferenceServer._fail`.  Served
+predictions are bit-identical to ``NAIPredictor.predict``: batching and fusing
+change *which* supporting subgraph is propagated, never the per-node result,
+and cache replays skip only MAC-free sampling work.
 
     >>> from repro.core import ServingConfig
     >>> from repro.serving import InferenceServer
@@ -25,31 +36,64 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..core.config import ServingConfig
 from ..core.inference import NAIPredictor
 from ..exceptions import ConfigurationError, ServingError
-from ..graph.sampling import canonical_order, slice_support_bundle
+from ..graph.sampling import SupportBundle, canonical_order, slice_support_bundle
 from .batcher import MicroBatch, MicroBatcher
 from .cache import CachedResult, ResultCache, SubgraphCache
 from .clock import MONOTONIC_CLOCK, Clock
 from .controller import BatchController, build_controller
-from .prefetch import BusyTracker, PrefetchPipeline, PrefetchTask
+from .prefetch import BusyTracker, PrefetchPipeline
 from .queue import NEW_TRACE, InferenceRequest, RequestQueue, ServingResponse, SubmitOptions
 from .stats import ServingStats, ServingStatsSnapshot
 from .wave import attribute_wave_macs, split_timings
 from .worker import WorkerPool, WorkItem, WorkOutput
 
-#: Default ``trace_parent``: "no parent given — start a sampled root trace".
-#: Distinct from an *explicit* ``None``, which means "this request was
-#: sampled out upstream (the shard router); do not trace it here either".
-#: Alias of :data:`repro.serving.queue.NEW_TRACE` (the canonical sentinel,
-#: shared with :class:`~repro.serving.queue.SubmitOptions`); kept under the
-#: old private name for existing imports.
-_NEW_TRACE = NEW_TRACE
+
+@dataclass
+class DispatchUnit:
+    """What one engine sweep serves: 1 to ``wave_width`` micro-batches.
+
+    The stages fill the fields in order, so whichever thread runs the next stage
+    (dispatcher, fetcher, worker callback) picks up everything the previous one resolved.
+    """
+
+    members: list[MicroBatch]
+    #: The members' node ids concatenated in member order — the member's own
+    #: array, uncopied, for a unit of one.
+    node_ids: np.ndarray | None = None
+    #: Canonical (sorted) ids and the permutation back to batch order: both
+    #: caches key on them, so permuted repeats of a node-set share an entry.
+    sorted_ids: np.ndarray | None = None
+    rank: np.ndarray | None = None
+    #: Batch-level spans hang off the first traced member request; ``None``
+    #: (tracing off or nothing sampled) keeps every tracing site dormant.
+    batch_ctx: object | None = None
+    cache_key: bytes | None = None
+    result_key: bytes | None = None
+    bundle: SupportBundle | None = None
+    cache_hit: bool = False
+    bundle_is_fresh: bool = False
+    dispatched_at: float = 0.0
+    #: Per member, per request: dispatch time minus enqueue time.
+    queue_waits: list[list[float]] | None = None
+
+    @property
+    def batch_id(self) -> int:
+        return self.members[0].batch_id
+
+    @property
+    def num_requests(self) -> int:
+        return sum(mb.num_requests for mb in self.members)
+
+    def requests(self) -> Iterator[tuple[MicroBatch, InferenceRequest]]:
+        return ((mb, request) for mb in self.members for request in mb.requests)
 
 
 class InferenceServer:
@@ -65,9 +109,7 @@ class InferenceServer:
         tracer=None,
     ) -> None:
         if not predictor.prepared:
-            raise ServingError(
-                "prepare the predictor (NAIPredictor.prepare) before serving it"
-            )
+            raise ServingError("prepare the predictor (NAIPredictor.prepare) before serving it")
         self.predictor = predictor
         self.config = config if config is not None else ServingConfig()
         self.clock = clock if clock is not None else MONOTONIC_CLOCK
@@ -76,85 +118,52 @@ class InferenceServer:
         #: so no span, context, or closure is ever allocated per request.
         self.tracer = tracer
         self.queue = RequestQueue(
-            self.config.queue_capacity, self.config.overflow_policy,
-            clock=self.clock,
+            self.config.queue_capacity, self.config.overflow_policy, clock=self.clock
         )
-        self.queue.on_shed = self._on_request_shed
-        #: The batching policy (``config.batch_policy`` unless an explicit
-        #: controller instance is injected — tests and the shard router use
-        #: that to share or pre-wire policies).
-        self.controller = (
-            controller if controller is not None else build_controller(self.config)
-        )
-        self.batcher = MicroBatcher(
-            self.queue, controller=self.controller, clock=self.clock
-        )
-        # Bundle reuse needs the fused engine (the reference engine resamples
-        # per depth) and in-process workers (bundles are not shipped across
-        # the process boundary).
+        # A request failed by load shedding gives its in-flight slot back.
+        self.queue.on_shed = lambda request: self._release(1)
+        #: The batching policy (``config.batch_policy`` unless an explicit controller is
+        #: injected — tests and the shard router use that to share or pre-wire policies).
+        self.controller = controller if controller is not None else build_controller(self.config)
+        self.batcher = MicroBatcher(self.queue, controller=self.controller, clock=self.clock)
+        # Bundle reuse and the wave attribution replay both walk one pre-built
+        # bundle per sweep, which only the fused engine consumes (the
+        # reference engine resamples per depth).
+        fused = predictor.config.engine == "fused"
         self.cache: SubgraphCache | None = None
-        if (
-            self.config.cache_capacity > 0
-            and self.config.backend == "thread"
-            and predictor.config.engine == "fused"
-        ):
+        if self.config.cache_capacity > 0 and fused:
             self.cache = SubgraphCache(self.config.cache_capacity)
-        # Gate prefetch before any thread machinery spins up: the pipeline
-        # is a cache-fill path, so it needs the cache's own preconditions.
-        if self.config.prefetch_depth > 0 and self.cache is None:
+        needs_cache = self.config.prefetch_depth > 0 or self.config.cache_subset_lookups
+        if needs_cache and self.cache is None:
             raise ConfigurationError(
-                "prefetch_depth > 0 requires the supporting-subgraph cache: "
-                "backend='thread', the fused engine and cache_capacity > 0"
+                "prefetch_depth > 0 and cache_subset_lookups require the "
+                "supporting-subgraph cache: the fused engine and cache_capacity > 0"
             )
-        # Wave fusion runs one union sweep for several in-flight
-        # micro-batches.  The MAC-attribution replay walks the executed
-        # bundle, so waves need the fused engine (the reference engine
-        # resamples per depth — there is no single union bundle to replay).
-        self._wave_width = self.config.wave_width
-        if self._wave_width > 1 and predictor.config.engine != "fused":
+        if self.config.wave_width > 1 and not fused:
             raise ConfigurationError(
-                "wave_width > 1 requires the fused engine "
-                "(NAIConfig.engine='fused')"
+                "wave_width > 1 requires the fused engine (NAIConfig.engine='fused')"
             )
-        if self.config.cache_subset_lookups and self.cache is None:
-            raise ConfigurationError(
-                "cache_subset_lookups requires the supporting-subgraph cache: "
-                "backend='thread', the fused engine and cache_capacity > 0"
-            )
-        # The opt-in result cache replays recorded per-node outputs for exact
-        # canonical node-set repeats; it exchanges plain arrays only, so it
-        # works with every backend and engine.
+        # The opt-in result cache replays recorded per-node outputs for exact canonical
+        # node-set repeats; it exchanges plain arrays only, so it works with every engine.
         self.result_cache: ResultCache | None = None
         if self.config.result_cache_capacity > 0:
             self.result_cache = ResultCache(self.config.result_cache_capacity)
-        self.pool = WorkerPool(
-            predictor,
-            num_workers=self.config.num_workers,
-            backend=self.config.backend,
-            tracer=tracer if self.config.backend == "thread" else None,
-        )
-        # Dispatcher-owned engine, used for bundle building on cache misses
-        # (build_support touches no propagation buffers) and, in wave mode,
-        # as the source of the policy/classifier state the attribution
-        # replay reads.
-        self._sampler = (
-            predictor.make_engine()
-            if self.cache is not None or self._wave_width > 1
-            else None
-        )
+        self.pool = WorkerPool(predictor, num_workers=self.config.num_workers, tracer=tracer)
+        # Dispatcher-owned engine: builds bundles for inline misses
+        # (build_support touches no propagation buffers) and holds the
+        # policy/classifier state the attribution replay reads.
+        needs_sampler = self.cache is not None or self.config.wave_width > 1
+        self._sampler = predictor.make_engine() if needs_sampler else None
         self._stats = ServingStats(self.config.latency_sample_cap, clock=self.clock)
-        # Asynchronous prefetch: cache misses are fetched by background
-        # fetcher threads so batch N+1's transport rounds overlap batch N's
-        # compute.  Needs the subgraph cache (same preconditions), because
-        # the pipeline *is* a cache-fill path.
+        # prefetch_depth > 0: cache misses are resolved by background fetchers,
+        # so unit N+1's transport rounds overlap unit N's compute; the busy
+        # tracker measures that overlap.
         self._busy: BusyTracker | None = None
         self._prefetch: PrefetchPipeline | None = None
         if self.config.prefetch_depth > 0:
             self._busy = BusyTracker(self.clock)
             self._prefetch = PrefetchPipeline(
-                make_engine=predictor.make_engine,
-                execute=self._prefetch_execute,
-                cancel=self._prefetch_cancel,
+                make_engine=predictor.make_engine, execute=self._fetch, cancel=self._fail,
                 depth=self.config.prefetch_depth,
             )
         self._request_ids = itertools.count()
@@ -197,14 +206,8 @@ class InferenceServer:
         explicit ``None`` to mark the request as sampled out upstream.
         """
         if options is None:
-            options = SubmitOptions(
-                timeout=timeout, trace_parent=trace_parent, tenant=tenant
-            )
-        elif (
-            timeout is not None
-            or trace_parent is not NEW_TRACE
-            or tenant is not None
-        ):
+            options = SubmitOptions(timeout=timeout, trace_parent=trace_parent, tenant=tenant)
+        elif timeout is not None or trace_parent is not NEW_TRACE or tenant is not None:
             raise ConfigurationError(
                 "pass either a SubmitOptions or the legacy "
                 "timeout/trace_parent/tenant keywords, not both"
@@ -219,11 +222,8 @@ class InferenceServer:
                 else self.tracer.child(options.trace_parent)
             )
         request = InferenceRequest(
-            next(self._request_ids),
-            node_ids,
-            enqueued_at=self.clock.now(),
-            trace=trace,
-            tenant=options.tenant,
+            next(self._request_ids), node_ids,
+            enqueued_at=self.clock.now(), trace=trace, tenant=options.tenant,
         )
         self._stats.mark_submission()
         with self._inflight_lock:
@@ -231,17 +231,12 @@ class InferenceServer:
         try:
             self.queue.put(request, timeout=options.timeout)
         except BaseException:
-            with self._inflight_lock:
-                self._inflight -= 1
-                self._idle.notify_all()
+            self._release(1)
             raise
         return request
 
     def predict_many(
-        self,
-        batches: Iterable[np.ndarray],
-        *,
-        timeout: float | None = None,
+        self, batches: Iterable[np.ndarray], *, timeout: float | None = None
     ) -> list[ServingResponse]:
         """Submit every batch, then gather the responses in submission order.
 
@@ -263,13 +258,13 @@ class InferenceServer:
                     )
                 self.clock.wait_on(self._idle, wait)
 
-    def stats(self) -> ServingStatsSnapshot:
-        """Current throughput/latency/cache/queue statistics."""
+    def _gauges(self) -> dict:
+        """The instantaneous queue/cache levels both snapshots report."""
         # One consistent counter reading per cache (hits/misses/entries move
         # together under the cache lock) instead of racy piecewise reads.
         cache = self.cache.counters() if self.cache else None
         results = self.result_cache.counters() if self.result_cache else None
-        return self._stats.snapshot(
+        return dict(
             queue_depth=self.queue.depth,
             queue_max_depth=self.queue.max_depth,
             requests_rejected=self.queue.rejected,
@@ -285,49 +280,34 @@ class InferenceServer:
             controller_adjustments=self.controller.adjustments,
         )
 
+    def stats(self) -> ServingStatsSnapshot:
+        """Current throughput/latency/cache/queue statistics."""
+        return self._stats.snapshot(**self._gauges())
+
     def interval_latency_samples(self) -> tuple[float, ...]:
         """Raw request latencies of the current interval window.
 
-        Non-destructive; :meth:`interval_stats` (its default ``reset``)
-        consumes the interval.  See
-        :meth:`~repro.serving.stats.ServingStats.interval_snapshot`.
+        Non-destructive; :meth:`interval_stats` (default ``reset``) consumes it.
         """
         return self._stats.interval_latency_samples()
 
     def interval_stats(self, *, reset: bool = True) -> ServingStatsSnapshot:
         """Statistics since the last interval reset (then reset by default).
 
-        Counters and summaries cover only the interval window; the
-        queue/cache gauges are the same instantaneous levels as
-        :meth:`stats`.
+        Counters and summaries cover only the interval window; the queue/cache
+        gauges are the same instantaneous levels as :meth:`stats`.
         """
-        cache = self.cache.counters() if self.cache else None
-        results = self.result_cache.counters() if self.result_cache else None
-        return self._stats.interval_snapshot(
-            reset=reset,
-            queue_depth=self.queue.depth,
-            queue_max_depth=self.queue.max_depth,
-            requests_rejected=self.queue.rejected,
-            requests_shed=self.queue.shed,
-            cache_hits=cache.hits if cache else 0,
-            cache_misses=cache.misses if cache else 0,
-            cache_entries=cache.entries if cache else 0,
-            result_cache_hits=results.hits if results else 0,
-            result_cache_misses=results.misses if results else 0,
-            result_cache_entries=results.entries if results else 0,
-            batch_policy=self.controller.name,
-            controller_adjustments=self.controller.adjustments,
-        )
+        return self._stats.interval_snapshot(reset=reset, **self._gauges())
 
     def close(self, *, abort: bool = False) -> None:
         """Serve everything already accepted, then stop all machinery.
 
         ``abort=True`` skips the drain: requests still queued — including
-        micro-batches whose support fetch is waiting in the prefetch
-        pipeline — are *failed* with :class:`~repro.exceptions.ServingError`
-        instead of served.  Batches already fetching or computing complete
-        normally, so every accepted request is answered one way or the
-        other; nothing strands.
+        units whose support fetch is waiting in the prefetch pipeline — are
+        *failed* with :class:`~repro.exceptions.ServingError` instead of
+        served.  Units already fetching or computing complete normally, so
+        every accepted request is answered one way or the other; nothing
+        strands.
         """
         if self._closed:
             return
@@ -341,25 +321,18 @@ class InferenceServer:
             # A submit racing close() can slip into the queue after drain()
             # returned; drain_pending fails it *and* we release its in-flight
             # slot so a later drain() cannot wait on it forever.
-            stranded = self.queue.drain_pending(
-                ServingError("server shut down before dispatch")
-            )
+            stranded = self.queue.drain_pending(ServingError("server shut down before dispatch"))
             if stranded:
-                with self._inflight_lock:
-                    self._inflight -= len(stranded)
-                    if self._inflight <= 0:
-                        self._idle.notify_all()
+                self._release(len(stranded))
             self._dispatcher.join()
-            # Stop the prefetch pipeline after the dispatcher (its last
-            # submitter) and before the pool (its downstream): in-flight
-            # fetches finish and submit, queued tasks are cancelled through
-            # _fail_micro_batch, which releases their in-flight slots.
+            # Stop the prefetch pipeline after the dispatcher (its last submitter)
+            # and before the pool (its downstream): in-flight fetches finish and
+            # submit, queued units go through _fail, releasing their slots.
             if self._prefetch is not None:
                 cancelled = self._prefetch.stop(
                     ServingError("server shut down before prefetch dispatch")
                 )
-                if cancelled:
-                    self._stats.record_prefetch_cancelled(cancelled)
+                self._stats.record_prefetch_cancelled(cancelled)
             self.pool.shutdown()
 
     def __enter__(self) -> "InferenceServer":
@@ -368,510 +341,184 @@ class InferenceServer:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _on_request_shed(self, request: InferenceRequest) -> None:
-        """Release the in-flight slot of a request failed by load shedding."""
+    def _release(self, num_requests: int) -> None:
+        """Return answered requests' in-flight slots; wake ``drain`` at zero."""
         with self._inflight_lock:
-            self._inflight -= 1
+            self._inflight -= num_requests
             if self._inflight <= 0:
                 self._idle.notify_all()
 
     # ------------------------------------------------------------------ #
-    # Dispatcher
+    # Stages 1–3: form, resolve support, submit
     # ------------------------------------------------------------------ #
     def _dispatch_loop(self) -> None:
         while not (self._closed and self.queue.depth == 0):
-            micro_batch = self.batcher.next_batch(poll_timeout=0.02)
-            if micro_batch is None:
+            first = self.batcher.next_batch(poll_timeout=0.02)
+            if first is None:
                 if self.queue.is_closed:
                     break
                 continue
-            if self._wave_width <= 1:
-                self._dispatch_one(micro_batch)
-                continue
-            # Wave gate: fuse up to wave_width micro-batches that are
-            # *already ready* — the zero poll never delays the first
-            # member, so an idle server behaves exactly like wave_width=1;
-            # only genuine concurrency (a backed-up queue) widens waves.
-            members = [micro_batch]
-            while len(members) < self._wave_width:
+            # Form: fuse micro-batches that are *already ready*.  The zero
+            # poll never delays the first member, so an idle server behaves
+            # exactly like wave_width=1; only a backed-up queue widens units.
+            members = [first]
+            while len(members) < self.config.wave_width:
                 extra = self.batcher.next_batch(poll_timeout=0.0)
                 if extra is None:
                     break
                 members.append(extra)
-            if len(members) == 1:
-                self._dispatch_one(micro_batch)
-            else:
-                self._dispatch_wave(members)
+            unit = DispatchUnit(members)
+            try:
+                self._dispatch(unit)
+            except BaseException as error:  # noqa: BLE001 - forwarded per request
+                # E.g. out-of-range node ids surfacing in the BFS: fail this
+                # unit's requests only — the dispatcher outlives them.
+                self._fail(unit, error)
 
-    def _dispatch_one(self, micro_batch: MicroBatch) -> None:
-        """Resolve and dispatch a single micro-batch (the non-wave path).
+    def _dispatch(self, unit: DispatchUnit) -> None:
+        """Resolve one formed unit and submit it, or hand its miss to a fetcher.
 
-        Resolve the sampling products here, in the dispatcher: a miss
-        is built and inserted *before* dispatch, so identical batches
-        already in flight behind this one hit deterministically, and
-        sampling pipelines with the workers' propagation compute.
-        Any failure (e.g. out-of-range node ids surfacing in the BFS)
-        fails this micro-batch's requests only — the dispatcher must
-        outlive every malformed request.
+        The exact-key lookup always runs here, on the dispatcher: hits are
+        counted once and dispatched in arrival order, and an inline miss is
+        built and inserted *before* dispatch, so an identical unit behind
+        this one hits deterministically.
         """
-        depth = self.predictor.config.t_max
-        try:
-            # Tracing: batch-level spans hang off the first traced
-            # member (the "primary") — one batch tree per micro-batch,
-            # not one per request.  ``primary is None`` (tracing off or
-            # nothing sampled) keeps every site below dormant.
-            primary = None
-            if self.tracer is not None:
-                primary = next(
-                    (r.trace for r in micro_batch.requests if r.trace is not None),
-                    None,
-                )
-                if primary is not None and micro_batch.started_at is not None:
-                    self.tracer.emit_under(
-                        "batch.coalesce",
-                        primary,
-                        micro_batch.started_at,
-                        micro_batch.formed_at,
-                        batch_id=micro_batch.batch_id,
-                        num_requests=micro_batch.num_requests,
-                        num_nodes=micro_batch.num_nodes,
-                    )
-            # Both caches key on the canonical (sorted) node multiset, so
-            # permuted repeats of a node-set share one entry; ``rank``
-            # rebases canonical-order artefacts back to batch order.
-            sorted_ids = rank = None
-            if self.cache is not None or self.result_cache is not None:
-                sorted_ids, rank = canonical_order(micro_batch.node_ids)
-
-            result_key = canonical_idx = None
-            if self.result_cache is not None:
-                assert sorted_ids is not None and rank is not None
-                result_key = self.result_cache.key_for(sorted_ids, depth)
-                recorded = self.result_cache.get(result_key)
-                if recorded is not None:
-                    self._replay_micro_batch(micro_batch, rank, recorded)
-                    return
-                # Inverse of ``rank`` by scatter (no second sort): the
-                # completion path stores the result in canonical order.
-                canonical_idx = np.empty_like(rank)
-                canonical_idx[rank] = np.arange(rank.shape[0], dtype=np.int64)
-
-            batch_ctx = None
-            if primary is not None:
-                batch_ctx = self.tracer.child(primary)
-
-            bundle = None
-            cache_hit = False
-            bundle_is_fresh = False
-            if self.cache is not None:
-                assert sorted_ids is not None and rank is not None
-                key = self.cache.key_for(sorted_ids, depth)
-                bundle = self.cache.get(key)
-                cache_hit = bundle is not None
-                if bundle is None and self._prefetch is not None:
-                    # Hand the fetch to the pipeline and move straight on
-                    # to coalescing the next micro-batch: its transport
-                    # rounds overlap the pool's compute (and each other,
-                    # at depth > 1).  The fetcher finishes the batch.
-                    self._stats.record_prefetch_issued()
-                    self._prefetch.submit(
-                        PrefetchTask(
-                            micro_batch=micro_batch,
-                            sorted_ids=sorted_ids,
-                            rank=rank,
-                            cache_key=key,
-                            result_key=result_key,
-                            canonical_idx=canonical_idx,
-                            batch_ctx=batch_ctx,
-                        )
-                    )
-                    return
-                if bundle is None:
-                    # Build (and insert) the canonical-order bundle; the
-                    # actual batch order is restored by rebasing below.
-                    bundle = self._build_bundle(
-                        micro_batch, sorted_ids, batch_ctx, self._sampler
-                    )
-                    self.cache.put(key, bundle)
-                    bundle_is_fresh = True
-                if not np.array_equal(sorted_ids, micro_batch.node_ids):
-                    bundle = bundle.with_target_order(rank)
-            self._submit_work(
-                micro_batch, bundle, cache_hit, bundle_is_fresh,
-                result_key, canonical_idx, batch_ctx,
-            )
-        except BaseException as error:  # noqa: BLE001 - forwarded per request
-            self._fail_micro_batch(micro_batch, error)
-
-    def _dispatch_wave(self, members: "list[MicroBatch]") -> None:
-        """Fuse ready micro-batches into one union sweep (the wave path).
-
-        The union batch is the members' node ids concatenated in member
-        order; one bundle build plus one engine sweep serve every member,
-        and the completion path scatters per-member result slices back
-        and splits the sweep's MACs exactly
-        (:func:`~repro.serving.wave.attribute_wave_macs`).  A failure
-        before dispatch fails every member — the :meth:`_dispatch_one`
-        contract, wave-wide.
-        """
-        depth = self.predictor.config.t_max
-        try:
-            union_ids = np.concatenate([mb.node_ids for mb in members])
-            sizes = np.asarray([mb.num_nodes for mb in members], dtype=np.int64)
-            offsets = np.concatenate(([0], np.cumsum(sizes)))
-            union_start = self.clock.now()
-            primary = None
-            if self.tracer is not None:
-                # The wave's batch tree hangs off the first traced request
-                # of any member; per-member coalesce spans keep the trace
-                # comparable to the non-wave path.
-                primary = next(
-                    (
-                        r.trace
-                        for mb in members
-                        for r in mb.requests
-                        if r.trace is not None
-                    ),
-                    None,
-                )
-                if primary is not None:
-                    for mb in members:
-                        if mb.started_at is not None:
-                            self.tracer.emit_under(
-                                "batch.coalesce",
-                                primary,
-                                mb.started_at,
-                                mb.formed_at,
-                                batch_id=mb.batch_id,
-                                num_requests=mb.num_requests,
-                                num_nodes=mb.num_nodes,
-                            )
-            batch_ctx = None
-            if primary is not None:
-                batch_ctx = self.tracer.child(primary)
-
-            sorted_ids, rank = canonical_order(union_ids)
-            bundle = None
-            cache_hit = False
-            bundle_is_fresh = False
-            if self.cache is not None:
-                key = self.cache.key_for(sorted_ids, depth)
-                bundle = self.cache.get(key)
-                cache_hit = bundle is not None
-                if bundle is None and self.config.cache_subset_lookups:
-                    match = self.cache.find_superset(sorted_ids, depth)
-                    if match is not None:
-                        # Slice this union's bundle out of a cached
-                        # superset bundle: bit-identical to a fresh build
-                        # (a subset's k-hop support lies inside the
-                        # superset's) at a fraction of the cost.  Costed —
-                        # and cached under the exact key — as a build.
-                        bundle = slice_support_bundle(
-                            match[1], sorted_ids, depth
-                        )
-                if bundle is None:
-                    bundle = self._build_bundle(
-                        members[0], sorted_ids, batch_ctx, self._sampler
-                    )
-                if not cache_hit:
-                    self.cache.put(key, bundle)
-                    bundle_is_fresh = True
-            else:
-                bundle = self._build_bundle(
-                    members[0], sorted_ids, batch_ctx, self._sampler
-                )
-                bundle_is_fresh = True
-            if not np.array_equal(sorted_ids, union_ids):
-                bundle = bundle.with_target_order(rank)
-            if batch_ctx is not None:
-                self.tracer.emit_under(
-                    "wave.union",
-                    batch_ctx,
-                    union_start,
-                    self.clock.now(),
-                    batch_id=members[0].batch_id,
-                    wave_width=len(members),
-                    num_nodes=int(union_ids.shape[0]),
-                    cache_hit=cache_hit,
-                )
-            self._submit_wave(
-                members, offsets, union_ids, bundle, cache_hit,
-                bundle_is_fresh, batch_ctx,
-            )
-        except BaseException as error:  # noqa: BLE001 - forwarded per request
-            for mb in members:
-                self._fail_micro_batch(mb, error)
-
-    def _submit_wave(
-        self,
-        members: "list[MicroBatch]",
-        offsets: np.ndarray,
-        union_ids: np.ndarray,
-        bundle,
-        cache_hit: bool,
-        bundle_is_fresh: bool,
-        batch_ctx,
-    ) -> None:
-        """Dispatch a resolved wave to the pool as one union work item."""
-        compute_ctx = None
-        if batch_ctx is not None:
-            compute_ctx = self.tracer.child(batch_ctx)
-        dispatched_at = self.clock.now()
-        queue_waits = [
-            [dispatched_at - request.enqueued_at for request in mb.requests]
-            for mb in members
-        ]
-        if self.tracer is not None:
-            for mb in members:
-                for request in mb.requests:
-                    if request.trace is not None:
-                        self.tracer.emit_under(
-                            "queue.wait",
-                            request.trace,
-                            request.enqueued_at,
-                            dispatched_at,
-                            batch_id=mb.batch_id,
-                        )
-        self.pool.submit(
-            WorkItem(
-                batch_id=members[0].batch_id,
-                node_ids=union_ids,
-                bundle=bundle,
-                bundle_is_fresh=bundle_is_fresh,
-                callback=lambda output, ms=members, offs=offsets,
-                waits=queue_waits, hit=cache_hit, b=bundle,
-                sent=dispatched_at, bctx=batch_ctx:
-                self._on_wave_done(ms, offs, waits, hit, output, b, sent, bctx),
-                trace=compute_ctx,
-            )
+        members = unit.members
+        fused = len(members) > 1
+        unit.node_ids = (
+            np.concatenate([mb.node_ids for mb in members]) if fused else members[0].node_ids
         )
-
-    def _on_wave_done(
-        self,
-        members: "list[MicroBatch]",
-        offsets: np.ndarray,
-        queue_waits: "list[list[float]]",
-        cache_hit: bool,
-        output: WorkOutput,
-        bundle,
-        dispatched_at: float,
-        batch_ctx,
-    ) -> None:
-        """Scatter a union sweep back into per-member, per-request responses."""
-        num_requests = sum(mb.num_requests for mb in members)
-        try:
-            result = output.result
-            error = output.error
-            attribution = None
-            if error is None and result is not None:
-                try:
-                    # Replay the union sweep's control flow and split its
-                    # engine-reported MACs exactly across the members.
-                    # ``bundle`` is the executed (batch-order) bundle the
-                    # replay walks; a reconciliation mismatch raises and
-                    # fails the wave rather than shipping wrong accounting.
-                    sampler = self._sampler
-                    attribution = attribute_wave_macs(
-                        bundle,
-                        offsets,
-                        result,
-                        policy=sampler.policy,
-                        classifiers=sampler.classifiers,
-                        config=sampler.config,
-                        stationary_num_nodes=sampler.stationary.num_nodes,
-                    )
-                except BaseException as attribution_error:  # noqa: BLE001
-                    error = attribution_error
-            if error is not None or result is None or attribution is None:
-                if error is None:
-                    error = ServingError(
-                        f"wave of {len(members)} micro-batches produced "
-                        "no result"
-                    )
-                failed_at = self.clock.now()
-                for mb in members:
-                    for request in mb.requests:
-                        request._fail(error)
-                    if self.tracer is not None:
-                        for request in mb.requests:
-                            if request.trace is not None:
-                                self.tracer.emit(
-                                    "request",
-                                    request.trace,
-                                    request.enqueued_at,
-                                    failed_at,
-                                    request_id=request.request_id,
-                                    batch_id=mb.batch_id,
-                                    status="failed",
-                                    error=str(error),
-                                )
-                self._stats.record_failure(num_requests)
+        if self.tracer is not None:
+            self._open_batch_trace(unit)
+        # A fused unit always needs its executed bundle here — the attribution
+        # replay walks it; a unit of one only when the subgraph cache keys on
+        # it (otherwise the worker samples for itself).
+        resolve = self.cache is not None or fused
+        if resolve or self.result_cache is not None:
+            unit.sorted_ids, unit.rank = canonical_order(unit.node_ids)
+        depth = self.predictor.config.t_max
+        if self.result_cache is not None and not fused:
+            unit.result_key = self.result_cache.key_for(unit.sorted_ids, depth)
+            recorded = self.result_cache.get(unit.result_key)
+            if recorded is not None:
+                self._replay(unit, recorded)
                 return
-            completed_at = self.clock.now()
-            # One controller cost sample for the union — the service time
-            # the pool actually spent, not wave_width copies of it.
-            self.controller.observe_batch(
-                num_nodes=int(offsets[-1]),
-                num_requests=num_requests,
-                service_seconds=completed_at - dispatched_at,
-                queue_depth=self.queue.depth,
-            )
-            member_timings = split_timings(
-                result.timings,
-                [macs.total for macs in attribution.member_macs],
-            )
-            wave_width = len(members)
-            for k, mb in enumerate(members):
-                base = int(offsets[k])
-                member_macs = attribution.member_macs[k]
-                latencies = []
-                for index, request in enumerate(mb.requests):
-                    inner = mb.request_slice(index)
-                    rows = slice(base + inner.start, base + inner.stop)
-                    latency = completed_at - request.enqueued_at
-                    latencies.append(latency)
-                    request._fulfill(
-                        ServingResponse(
-                            request_id=request.request_id,
-                            node_ids=request.node_ids,
-                            predictions=result.predictions[rows],
-                            depths=result.depths[rows],
-                            latency_seconds=latency,
-                            queue_seconds=queue_waits[k][index],
-                            cache_hit=cache_hit,
-                            worker_id=output.worker_id,
-                            batch_id=mb.batch_id,
-                            batch_num_nodes=mb.num_nodes,
-                            batch_num_requests=mb.num_requests,
-                            batch_macs=member_macs,
-                            batch_timings=member_timings[k],
-                            tenant=request.tenant,
-                            wave_width=wave_width,
-                        )
-                    )
-                self._stats.record_batch(
-                    worker_id=output.worker_id,
-                    num_nodes=mb.num_nodes,
-                    num_requests=mb.num_requests,
-                    macs=member_macs,
-                    timings=member_timings[k],
-                    latencies=latencies,
-                    queue_waits=queue_waits[k],
-                )
-            self._stats.record_wave(
-                width=wave_width,
-                shared_row_macs=attribution.shared_row_macs,
-                total_row_macs=attribution.total_row_macs,
-            )
-            if self.tracer is not None and batch_ctx is not None:
-                self.tracer.emit_under(
-                    "wave.scatter",
-                    batch_ctx,
-                    completed_at,
-                    self.clock.now(),
-                    batch_id=members[0].batch_id,
-                    wave_width=wave_width,
-                    num_requests=num_requests,
-                )
-                self.tracer.emit(
-                    "batch.execute",
-                    batch_ctx,
-                    dispatched_at,
-                    completed_at,
-                    batch_id=members[0].batch_id,
-                    num_requests=num_requests,
-                    num_nodes=int(offsets[-1]),
-                    worker_id=output.worker_id,
-                    cache_hit=cache_hit,
-                    wave_width=wave_width,
-                    macs=int(result.macs.total),
-                )
-                for mb in members:
-                    for request in mb.requests:
-                        if request.trace is not None:
-                            self.tracer.emit(
-                                "request",
-                                request.trace,
-                                request.enqueued_at,
-                                completed_at,
-                                request_id=request.request_id,
-                                num_nodes=request.num_nodes,
-                                batch_id=mb.batch_id,
-                            )
-        finally:
-            with self._inflight_lock:
-                self._inflight -= num_requests
-                if self._inflight <= 0:
-                    self._idle.notify_all()
+        if self.cache is not None:
+            unit.cache_key = self.cache.key_for(unit.sorted_ids, depth)
+            unit.bundle = self.cache.get(unit.cache_key)
+            unit.cache_hit = unit.bundle is not None
+        if resolve and unit.bundle is None:
+            if self._prefetch is not None:
+                # Move straight on to forming the next unit: this one's
+                # transport rounds overlap the pool's compute (and each
+                # other, at depth > 1).  The fetcher submits it.
+                self._stats.record_prefetch_issued()
+                self._prefetch.submit(unit)
+                return
+            self._resolve_miss(unit, self._sampler)
+        self._submit(unit)
 
-    def _build_bundle(
-        self, micro_batch: MicroBatch, sorted_ids: np.ndarray, batch_ctx, sampler
-    ):
+    def _open_batch_trace(self, unit: DispatchUnit) -> None:
+        """Emit the members' coalesce spans; allocate the batch context."""
+        primary = next((r.trace for _, r in unit.requests() if r.trace is not None), None)
+        if primary is None:
+            return
+        for mb in unit.members:
+            if mb.started_at is not None:
+                self.tracer.emit_under(
+                    "batch.coalesce", primary, mb.started_at, mb.formed_at,
+                    batch_id=mb.batch_id, num_requests=mb.num_requests, num_nodes=mb.num_nodes,
+                )
+        unit.batch_ctx = self.tracer.child(primary)
+
+    def _resolve_miss(self, unit: DispatchUnit, sampler) -> None:
+        """Superset slice, else build — on the dispatcher or a fetcher thread.
+
+        Leaves the canonical-order bundle on the unit and, unless a sibling
+        fetch got there first, in the cache under the unit's exact key.
+        """
+        bundle = None
+        if self.cache is not None:
+            # A sibling fetch may have inserted this key since the dispatcher's
+            # counted miss (never true inline); peek() skips the double-booked
+            # hit/miss accounting.
+            bundle = self.cache.peek(unit.cache_key)
+            unit.cache_hit = bundle is not None
+            if bundle is None and self.config.cache_subset_lookups:
+                depth = self.predictor.config.t_max
+                match = self.cache.find_superset(unit.sorted_ids, depth)
+                if match is not None:
+                    # Bit-identical to a fresh build (a subset's k-hop support
+                    # lies inside the superset's) at a fraction of the cost.
+                    # Costed — and cached under the exact key — as a build.
+                    bundle = slice_support_bundle(match[1], unit.sorted_ids, depth)
+        if bundle is None:
+            bundle = self._build_bundle(unit, sampler)
+        if not unit.cache_hit:
+            unit.bundle_is_fresh = True
+            if self.cache is not None:
+                self.cache.put(unit.cache_key, bundle)
+        unit.bundle = bundle
+
+    def _build_bundle(self, unit: DispatchUnit, sampler) -> SupportBundle:
         """Build the canonical-order support bundle (traced when sampled)."""
-        if batch_ctx is None:
-            return sampler.build_support(sorted_ids)
+        if unit.batch_ctx is None:
+            return sampler.build_support(unit.sorted_ids)
         # The build's fetch rounds (sharded stores) nest under this span via
         # the activated context.
-        build_ctx = self.tracer.child(batch_ctx)
+        build_ctx = self.tracer.child(unit.batch_ctx)
         build_start = self.clock.now()
         with self.tracer.activate(build_ctx):
-            bundle = sampler.build_support(sorted_ids)
+            bundle = sampler.build_support(unit.sorted_ids)
         self.tracer.emit(
-            "support.build",
-            build_ctx,
-            build_start,
-            self.clock.now(),
-            batch_id=micro_batch.batch_id,
-            num_targets=int(sorted_ids.shape[0]),
+            "support.build", build_ctx, build_start, self.clock.now(),
+            batch_id=unit.batch_id, num_targets=int(unit.sorted_ids.shape[0]),
             num_support=int(bundle.support.node_ids.shape[0]),
         )
         return bundle
 
-    def _submit_work(
-        self,
-        micro_batch: MicroBatch,
-        bundle,
-        cache_hit: bool,
-        bundle_is_fresh: bool,
-        result_key: bytes | None,
-        canonical_idx: np.ndarray | None,
-        batch_ctx,
-    ) -> None:
-        """Dispatch a resolved micro-batch to the pool (dispatcher or fetcher)."""
-        compute_ctx = None
-        if batch_ctx is not None:
-            compute_ctx = self.tracer.child(batch_ctx)
-        dispatched_at = self.clock.now()
-        queue_waits = [
-            dispatched_at - request.enqueued_at
-            for request in micro_batch.requests
+    def _fetch(self, unit: DispatchUnit, sampler) -> None:
+        """Resolve a handed-off miss on a fetcher thread, then submit it."""
+        fetch_start = self.clock.now()
+        busy_before = self._busy.busy_seconds()
+        self._resolve_miss(unit, sampler)
+        fetch_end = self.clock.now()
+        fetch_seconds = fetch_end - fetch_start
+        # Compute busy time elapsed during this fetch = the stall the pipeline
+        # hid; clamp against wall in case of clock coarseness.
+        overlap = max(0.0, min(self._busy.busy_seconds() - busy_before, fetch_seconds))
+        self._stats.record_prefetch_done(fetch_seconds=fetch_seconds, overlap_seconds=overlap)
+        if unit.batch_ctx is not None:
+            self.tracer.emit_under(
+                "prefetch.fetch", unit.batch_ctx, fetch_start, fetch_end,
+                batch_id=unit.batch_id, cache_hit=unit.cache_hit, overlap_seconds=overlap,
+            )
+        self._submit(unit)
+
+    def _submit(self, unit: DispatchUnit) -> None:
+        """Hand a resolved unit to the pool (dispatcher or fetcher thread)."""
+        if unit.bundle is not None and not np.array_equal(unit.sorted_ids, unit.node_ids):
+            # The cache keeps the canonical bundle; the engine and the
+            # attribution replay walk the batch-order view.
+            unit.bundle = unit.bundle.with_target_order(unit.rank)
+        unit.dispatched_at = now = self.clock.now()
+        unit.queue_waits = [
+            [now - request.enqueued_at for request in mb.requests] for mb in unit.members
         ]
-        if self.tracer is not None:
-            for request in micro_batch.requests:
-                if request.trace is not None:
-                    self.tracer.emit_under(
-                        "queue.wait",
-                        request.trace,
-                        request.enqueued_at,
-                        dispatched_at,
-                        batch_id=micro_batch.batch_id,
-                    )
+        compute_ctx = None
+        if unit.batch_ctx is not None:
+            compute_ctx = self.tracer.child(unit.batch_ctx)
+            self._emit_queue_waits(unit, now)
+        # Every unit brackets its pool compute, so a fetcher's overlap credit
+        # counts fused units and units of one alike.
         if self._busy is not None:
             self._busy.enter()
         try:
             self.pool.submit(
                 WorkItem(
-                    batch_id=micro_batch.batch_id,
-                    node_ids=micro_batch.node_ids,
-                    bundle=bundle,
-                    bundle_is_fresh=bundle_is_fresh,
-                    callback=lambda output, mb=micro_batch, waits=queue_waits,
-                    hit=cache_hit, rkey=result_key, cidx=canonical_idx,
-                    sent=dispatched_at, bctx=batch_ctx:
-                    self._on_batch_done(
-                        mb, waits, hit, output, rkey, cidx, sent, bctx
-                    ),
-                    trace=compute_ctx,
+                    batch_id=unit.batch_id, node_ids=unit.node_ids,
+                    bundle=unit.bundle, bundle_is_fresh=unit.bundle_is_fresh,
+                    callback=lambda output: self._complete(unit, output), trace=compute_ctx,
                 )
             )
         except BaseException:
@@ -880,313 +527,171 @@ class InferenceServer:
             raise
 
     # ------------------------------------------------------------------ #
-    # Prefetch pipeline callbacks (run on fetcher threads)
+    # Stage 4: complete (worker threads); replay; the one failure path
     # ------------------------------------------------------------------ #
-    def _prefetch_execute(self, task: PrefetchTask, sampler) -> None:
-        """Finish a handed-off micro-batch: fetch (or re-find) and submit."""
-        micro_batch = task.micro_batch
-        assert self.cache is not None and self._busy is not None
-        fetch_start = self.clock.now()
-        busy_before = self._busy.busy_seconds()
-        # A sibling fetch may have inserted this key since the dispatcher's
-        # counted miss; peek() skips the double-booked hit/miss accounting.
-        bundle = self.cache.peek(task.cache_key)
-        cache_hit = bundle is not None
-        bundle_is_fresh = False
-        if bundle is None:
-            bundle = self._build_bundle(
-                micro_batch, task.sorted_ids, task.batch_ctx, sampler
+    def _complete(self, unit: DispatchUnit, output: WorkOutput) -> None:
+        """Scatter one sweep back into per-member, per-request responses."""
+        if self._busy is not None:
+            self._busy.exit()
+        members = unit.members
+        width = len(members)
+        result, error = output.result, output.error
+        if error is None and result is None:
+            error = ServingError(f"micro-batch {unit.batch_id} produced no result")
+        attribution = None
+        if error is None and width > 1:
+            # Replay the union sweep's control flow and split its MACs exactly
+            # across the members (a unit of one owns its whole breakdown:
+            # nothing to split, no replay).  A reconciliation mismatch raises
+            # and fails the unit rather than shipping wrong accounting.
+            offsets = np.cumsum([0] + [mb.num_nodes for mb in members])
+            try:
+                attribution = attribute_wave_macs(self._sampler, unit.bundle, offsets, result)
+            except BaseException as attribution_error:  # noqa: BLE001
+                error = attribution_error
+        if error is not None:
+            self._fail(unit, error)
+            return
+        num_requests = unit.num_requests
+        num_nodes = int(unit.node_ids.shape[0])
+        try:
+            if unit.result_key is not None:
+                # Record in canonical order (inverse of ``rank`` by scatter) so
+                # any permutation of this node-set replays with one gather.
+                predictions = np.empty_like(result.predictions)
+                depths = np.empty_like(result.depths)
+                predictions[unit.rank] = result.predictions
+                depths[unit.rank] = result.depths
+                recorded = CachedResult(predictions, depths, result.macs, result.timings)
+                self.result_cache.put(unit.result_key, recorded)
+            completed_at = self.clock.now()
+            # One controller cost sample per sweep: dispatch-to-completion is
+            # the service time the adaptive policies model.
+            self.controller.observe_batch(
+                num_nodes=num_nodes, num_requests=num_requests,
+                service_seconds=completed_at - unit.dispatched_at, queue_depth=self.queue.depth,
             )
-            self.cache.put(task.cache_key, bundle)
-            bundle_is_fresh = True
-        fetch_end = self.clock.now()
-        # Compute busy time elapsed during this fetch = the stall the
-        # pipeline hid; clamp against wall in case of clock coarseness.
-        overlap = min(
-            self._busy.busy_seconds() - busy_before, fetch_end - fetch_start
-        )
-        self._stats.record_prefetch_done(
-            fetch_seconds=fetch_end - fetch_start,
-            overlap_seconds=max(overlap, 0.0),
-        )
-        if task.batch_ctx is not None:
-            self.tracer.emit_under(
-                "prefetch.fetch",
-                task.batch_ctx,
-                fetch_start,
-                fetch_end,
-                batch_id=micro_batch.batch_id,
-                cache_hit=cache_hit,
-                overlap_seconds=max(overlap, 0.0),
-            )
-        if not np.array_equal(task.sorted_ids, micro_batch.node_ids):
-            bundle = bundle.with_target_order(task.rank)
-        self._submit_work(
-            micro_batch, bundle, cache_hit, bundle_is_fresh,
-            task.result_key, task.canonical_idx, task.batch_ctx,
-        )
+            if attribution is None:
+                shares = [(result.macs, result.timings)]
+            else:
+                member_macs = attribution.member_macs
+                weights = [macs.total for macs in member_macs]
+                shares = zip(member_macs, split_timings(result.timings, weights))
+            base = 0
+            for mb, waits, (macs, timings) in zip(members, unit.queue_waits, shares):
+                latencies = self._scatter(
+                    mb, result.predictions, result.depths, base, completed_at, waits,
+                    cache_hit=unit.cache_hit, worker_id=output.worker_id,
+                    batch_macs=macs, batch_timings=timings, wave_width=width,
+                )
+                self._stats.record_batch(
+                    worker_id=output.worker_id, num_nodes=mb.num_nodes,
+                    num_requests=mb.num_requests, macs=macs, timings=timings,
+                    latencies=latencies, queue_waits=waits,
+                )
+                base += mb.num_nodes
+            if attribution is not None:
+                self._stats.record_wave(
+                    width=width, shared_row_macs=attribution.shared_row_macs,
+                    total_row_macs=attribution.total_row_macs,
+                )
+            if unit.batch_ctx is not None:
+                # The scatter span covers the fulfil loop above; batch.execute
+                # is the dispatch-to-completion region whose children (compute,
+                # fetch rounds, scatter) explain it.
+                self.tracer.emit_under(
+                    "scatter", unit.batch_ctx, completed_at, self.clock.now(),
+                    batch_id=unit.batch_id, num_requests=num_requests, wave_width=width,
+                )
+                self.tracer.emit(
+                    "batch.execute", unit.batch_ctx, unit.dispatched_at, completed_at,
+                    batch_id=unit.batch_id, num_requests=num_requests, num_nodes=num_nodes,
+                    worker_id=output.worker_id, cache_hit=unit.cache_hit, wave_width=width,
+                    macs=int(result.macs.total),
+                )
+                self._emit_request_spans(unit, completed_at)
+        finally:
+            self._release(num_requests)
 
-    def _prefetch_cancel(self, task: PrefetchTask, error: BaseException) -> None:
-        """Fail a prefetch task's requests (fetch error or pipeline stop)."""
-        self._fail_micro_batch(task.micro_batch, error)
-
-    def _replay_micro_batch(
-        self, micro_batch: MicroBatch, rank: np.ndarray, recorded: CachedResult
-    ) -> None:
-        """Answer a micro-batch from the result cache, bypassing the pool.
-
-        Per-node predictions and exit depths are independent of batch order
-        and composition over the same node-set, so gathering the recorded
-        canonical-order arrays through ``rank`` reproduces exactly what a
-        worker would compute.  The recorded MAC/timing breakdowns describe
-        the original execution — the stats fold them into the *replayed*
-        accumulators, never into the computed ones.
-        """
-        predictions = recorded.predictions[rank]
-        depths = recorded.depths[rank]
-        completed_at = self.clock.now()
-        # A replay is answered at dispatch, so the full latency *is* the
-        # queue wait — one list serves both stats channels.
-        latencies = [
-            completed_at - request.enqueued_at for request in micro_batch.requests
-        ]
-        for index, request in enumerate(micro_batch.requests):
-            rows = micro_batch.request_slice(index)
-            latency = latencies[index]
+    def _scatter(
+        self, mb: MicroBatch, predictions, depths, base: int, completed_at: float,
+        queue_waits: list[float], **fields,
+    ) -> list[float]:
+        """Fulfil ``mb``'s requests from rows ``base + request_slice``; returns latencies."""
+        latencies = []
+        for index, request in enumerate(mb.requests):
+            inner = mb.request_slice(index)
+            rows = slice(base + inner.start, base + inner.stop)
+            latency = completed_at - request.enqueued_at
+            latencies.append(latency)
             request._fulfill(
                 ServingResponse(
-                    request_id=request.request_id,
-                    node_ids=request.node_ids,
-                    predictions=predictions[rows],
-                    depths=depths[rows],
+                    request_id=request.request_id, node_ids=request.node_ids,
+                    predictions=predictions[rows], depths=depths[rows],
                     latency_seconds=latency,
-                    queue_seconds=latency,
-                    cache_hit=False,
-                    worker_id=-1,
-                    batch_id=micro_batch.batch_id,
-                    batch_num_nodes=micro_batch.num_nodes,
-                    batch_num_requests=micro_batch.num_requests,
-                    batch_macs=recorded.macs,
-                    batch_timings=recorded.timings,
-                    result_cache_hit=True,
-                    tenant=request.tenant,
+                    queue_seconds=queue_waits[index],
+                    batch_id=mb.batch_id, batch_num_nodes=mb.num_nodes,
+                    batch_num_requests=mb.num_requests, tenant=request.tenant, **fields,
                 )
             )
-        if self.tracer is not None:
-            primary = next(
-                (r.trace for r in micro_batch.requests if r.trace is not None), None
-            )
-            if primary is not None:
-                if micro_batch.started_at is not None:
-                    self.tracer.emit_under(
-                        "batch.coalesce",
-                        primary,
-                        micro_batch.started_at,
-                        micro_batch.formed_at,
-                        batch_id=micro_batch.batch_id,
-                        num_requests=micro_batch.num_requests,
-                    )
-                # A replay is answered at dispatch: zero-duration compute.
-                self.tracer.emit_under(
-                    "batch.replay",
-                    primary,
-                    completed_at,
-                    completed_at,
-                    batch_id=micro_batch.batch_id,
-                    num_nodes=micro_batch.num_nodes,
-                )
-                for request in micro_batch.requests:
-                    if request.trace is None:
-                        continue
-                    self.tracer.emit_under(
-                        "queue.wait",
-                        request.trace,
-                        request.enqueued_at,
-                        completed_at,
-                        batch_id=micro_batch.batch_id,
-                    )
-                    self.tracer.emit(
-                        "request",
-                        request.trace,
-                        request.enqueued_at,
-                        completed_at,
-                        request_id=request.request_id,
-                        num_nodes=request.num_nodes,
-                        batch_id=micro_batch.batch_id,
-                        result_cache_hit=True,
-                    )
-        self._stats.record_replayed_batch(
-            num_nodes=micro_batch.num_nodes,
-            num_requests=micro_batch.num_requests,
-            macs=recorded.macs,
-            latencies=latencies,
-            queue_waits=latencies,
-        )
-        with self._inflight_lock:
-            self._inflight -= micro_batch.num_requests
-            if self._inflight <= 0:
-                self._idle.notify_all()
+        return latencies
 
-    def _fail_micro_batch(self, micro_batch: MicroBatch, error: BaseException) -> None:
-        """Fail every request of a batch that never reached a worker."""
-        for request in micro_batch.requests:
+    def _replay(self, unit: DispatchUnit, recorded: CachedResult) -> None:
+        """Answer a unit of one from the result cache, bypassing the pool.
+
+        Per-node outputs are independent of batch order and composition, so
+        gathering the recorded canonical-order arrays through ``rank``
+        reproduces exactly what a worker would compute.  The recorded
+        MAC/timing breakdowns describe the original execution — the stats fold
+        them into the *replayed* accumulators, never into the computed ones.
+        """
+        micro_batch = unit.members[0]
+        completed_at = self.clock.now()
+        # A replay is answered at dispatch, so the full latency *is* the queue wait.
+        waits = [completed_at - request.enqueued_at for request in micro_batch.requests]
+        latencies = self._scatter(
+            micro_batch, recorded.predictions[unit.rank], recorded.depths[unit.rank],
+            0, completed_at, waits,
+            cache_hit=False, worker_id=-1, result_cache_hit=True,
+            batch_macs=recorded.macs, batch_timings=recorded.timings,
+        )
+        if unit.batch_ctx is not None:
+            # A replay is answered at dispatch: zero-duration compute.
+            self.tracer.emit(
+                "batch.replay", unit.batch_ctx, completed_at, completed_at,
+                batch_id=micro_batch.batch_id, num_nodes=micro_batch.num_nodes,
+            )
+            self._emit_queue_waits(unit, completed_at)
+            self._emit_request_spans(unit, completed_at, result_cache_hit=True)
+        self._stats.record_replayed_batch(
+            num_nodes=micro_batch.num_nodes, num_requests=micro_batch.num_requests,
+            macs=recorded.macs, latencies=latencies, queue_waits=latencies,
+        )
+        self._release(micro_batch.num_requests)
+
+    def _fail(self, unit: DispatchUnit, error: BaseException) -> None:
+        """Fail every request of a unit, whichever stage gave up on it."""
+        for _, request in unit.requests():
             request._fail(error)
         if self.tracer is not None:
-            failed_at = self.clock.now()
-            for request in micro_batch.requests:
-                if request.trace is not None:
-                    self.tracer.emit(
-                        "request",
-                        request.trace,
-                        request.enqueued_at,
-                        failed_at,
-                        request_id=request.request_id,
-                        batch_id=micro_batch.batch_id,
-                        status="failed",
-                        error=str(error),
-                    )
-        self._stats.record_failure(micro_batch.num_requests)
-        with self._inflight_lock:
-            self._inflight -= micro_batch.num_requests
-            if self._inflight <= 0:
-                self._idle.notify_all()
+            self._emit_request_spans(unit, self.clock.now(), status="failed", error=str(error))
+        self._stats.record_failure(unit.num_requests)
+        self._release(unit.num_requests)
 
-    # ------------------------------------------------------------------ #
-    # Completion path (runs on worker / pool-result threads)
-    # ------------------------------------------------------------------ #
-    def _on_batch_done(
-        self,
-        micro_batch: MicroBatch,
-        queue_waits: Sequence[float],
-        cache_hit: bool,
-        output: WorkOutput,
-        result_key: bytes | None = None,
-        canonical_idx: np.ndarray | None = None,
-        dispatched_at: float | None = None,
-        batch_ctx=None,
-    ) -> None:
-        try:
-            if output.error is not None or output.result is None:
-                error = output.error if output.error is not None else ServingError(
-                    f"micro-batch {micro_batch.batch_id} produced no result"
-                )
-                for request in micro_batch.requests:
-                    request._fail(error)
-                if self.tracer is not None:
-                    failed_at = self.clock.now()
-                    for request in micro_batch.requests:
-                        if request.trace is not None:
-                            self.tracer.emit(
-                                "request",
-                                request.trace,
-                                request.enqueued_at,
-                                failed_at,
-                                request_id=request.request_id,
-                                batch_id=micro_batch.batch_id,
-                                status="failed",
-                                error=str(error),
-                            )
-                self._stats.record_failure(micro_batch.num_requests)
-                return
-            result = output.result
-            if self.result_cache is not None and result_key is not None:
-                # Record in canonical order (the dispatcher already computed
-                # the key and permutation) so any permutation of this
-                # node-set replays with one gather.
-                assert canonical_idx is not None
-                self.result_cache.put(
-                    result_key,
-                    CachedResult(
-                        predictions=np.ascontiguousarray(
-                            result.predictions[canonical_idx]
-                        ),
-                        depths=np.ascontiguousarray(result.depths[canonical_idx]),
-                        macs=result.macs,
-                        timings=result.timings,
-                    ),
-                )
-            completed_at = self.clock.now()
-            if dispatched_at is not None:
-                # Feed the controller its cost sample: dispatch-to-completion
-                # is the service time the adaptive policies model.
-                self.controller.observe_batch(
-                    num_nodes=micro_batch.num_nodes,
-                    num_requests=micro_batch.num_requests,
-                    service_seconds=completed_at - dispatched_at,
-                    queue_depth=self.queue.depth,
-                )
-            latencies = []
-            for index, request in enumerate(micro_batch.requests):
-                rows = micro_batch.request_slice(index)
-                latency = completed_at - request.enqueued_at
-                latencies.append(latency)
-                request._fulfill(
-                    ServingResponse(
-                        request_id=request.request_id,
-                        node_ids=request.node_ids,
-                        predictions=result.predictions[rows],
-                        depths=result.depths[rows],
-                        latency_seconds=latency,
-                        queue_seconds=queue_waits[index],
-                        cache_hit=cache_hit,
-                        worker_id=output.worker_id,
-                        batch_id=micro_batch.batch_id,
-                        batch_num_nodes=micro_batch.num_nodes,
-                        batch_num_requests=micro_batch.num_requests,
-                        batch_macs=result.macs,
-                        batch_timings=result.timings,
-                        tenant=request.tenant,
-                    )
-                )
-            if self.tracer is not None and batch_ctx is not None:
-                # The scatter span covers the per-request fulfil loop above;
-                # the batch.execute span is the dispatch-to-completion region
-                # whose children (compute, fetch rounds, scatter) explain it.
+    def _emit_queue_waits(self, unit: DispatchUnit, end: float) -> None:
+        """One ``queue.wait`` span per traced member request, ending at ``end``."""
+        for mb, request in unit.requests():
+            if request.trace is not None:
                 self.tracer.emit_under(
-                    "scatter",
-                    batch_ctx,
-                    completed_at,
-                    self.clock.now(),
-                    batch_id=micro_batch.batch_id,
-                    num_requests=micro_batch.num_requests,
+                    "queue.wait", request.trace, request.enqueued_at, end, batch_id=mb.batch_id
                 )
-                if dispatched_at is not None:
-                    self.tracer.emit(
-                        "batch.execute",
-                        batch_ctx,
-                        dispatched_at,
-                        completed_at,
-                        batch_id=micro_batch.batch_id,
-                        num_requests=micro_batch.num_requests,
-                        num_nodes=micro_batch.num_nodes,
-                        worker_id=output.worker_id,
-                        cache_hit=cache_hit,
-                        macs=int(result.macs.total),
-                    )
-                for request in micro_batch.requests:
-                    if request.trace is not None:
-                        self.tracer.emit(
-                            "request",
-                            request.trace,
-                            request.enqueued_at,
-                            completed_at,
-                            request_id=request.request_id,
-                            num_nodes=request.num_nodes,
-                            batch_id=micro_batch.batch_id,
-                        )
-            self._stats.record_batch(
-                worker_id=output.worker_id,
-                num_nodes=micro_batch.num_nodes,
-                num_requests=micro_batch.num_requests,
-                macs=result.macs,
-                timings=result.timings,
-                latencies=latencies,
-                queue_waits=list(queue_waits),
-            )
-        finally:
-            if self._busy is not None:
-                self._busy.exit()
-            with self._inflight_lock:
-                self._inflight -= micro_batch.num_requests
-                if self._inflight <= 0:
-                    self._idle.notify_all()
+
+    def _emit_request_spans(self, unit: DispatchUnit, end: float, **attributes) -> None:
+        """Close the root ``request`` span of every traced member request."""
+        for mb, request in unit.requests():
+            if request.trace is not None:
+                self.tracer.emit(
+                    "request", request.trace, request.enqueued_at, end,
+                    request_id=request.request_id, num_nodes=request.num_nodes,
+                    batch_id=mb.batch_id, **attributes,
+                )

@@ -164,6 +164,48 @@ class ServingStatsSnapshot:
         }
 
 
+def _gauge_fields(
+    *,
+    queue_depth: int = 0,
+    queue_max_depth: int = 0,
+    requests_rejected: int = 0,
+    requests_shed: int = 0,
+    cache_hits: int = 0,
+    cache_misses: int = 0,
+    cache_entries: int = 0,
+    cache_subset_hits: int = 0,
+    result_cache_hits: int = 0,
+    result_cache_misses: int = 0,
+    result_cache_entries: int = 0,
+    batch_policy: str = "static",
+    controller_adjustments: int = 0,
+) -> dict:
+    """Snapshot fields for the instantaneous queue/cache levels.
+
+    The one place the gauges are named, so the cumulative and the interval
+    snapshot cannot drift apart on which of them they report.
+    """
+    lookups = cache_hits + cache_misses
+    result_lookups = result_cache_hits + result_cache_misses
+    return dict(
+        queue_depth=queue_depth,
+        queue_max_depth=queue_max_depth,
+        requests_rejected=requests_rejected,
+        requests_shed=requests_shed,
+        cache_hits=cache_hits,
+        cache_misses=cache_misses,
+        cache_hit_rate=cache_hits / lookups if lookups else 0.0,
+        cache_entries=cache_entries,
+        cache_subset_hits=cache_subset_hits,
+        result_cache_hits=result_cache_hits,
+        result_cache_misses=result_cache_misses,
+        result_cache_hit_rate=result_cache_hits / result_lookups if result_lookups else 0.0,
+        result_cache_entries=result_cache_entries,
+        batch_policy=batch_policy,
+        controller_adjustments=controller_adjustments,
+    )
+
+
 class ServingStats:
     """Mutable, thread-safe accumulator behind the snapshot surface."""
 
@@ -377,23 +419,7 @@ class ServingStats:
         with self._lock:
             return tuple(self._win_latencies)
 
-    def interval_snapshot(
-        self,
-        *,
-        reset: bool = True,
-        queue_depth: int = 0,
-        queue_max_depth: int = 0,
-        requests_rejected: int = 0,
-        requests_shed: int = 0,
-        cache_hits: int = 0,
-        cache_misses: int = 0,
-        cache_entries: int = 0,
-        result_cache_hits: int = 0,
-        result_cache_misses: int = 0,
-        result_cache_entries: int = 0,
-        batch_policy: str = "static",
-        controller_adjustments: int = 0,
-    ) -> ServingStatsSnapshot:
+    def interval_snapshot(self, *, reset: bool = True, **gauges) -> ServingStatsSnapshot:
         """Render the window opened by the last :meth:`reset_window`.
 
         Counters, latency/queue-wait summaries and MAC totals cover only
@@ -401,21 +427,18 @@ class ServingStats:
         (``now - window opened``), so an empty window reports zeros instead
         of dividing by nothing.  ``reset=True`` (default) opens a fresh
         window afterwards, making back-to-back calls a delta stream with no
-        external bookkeeping.  Queue/cache gauges are instantaneous levels,
-        passed through exactly as in :meth:`snapshot`.
+        external bookkeeping.  ``gauges`` are instantaneous levels, passed
+        through exactly as in :meth:`snapshot` (see :func:`_gauge_fields`).
         """
         now = self.clock.now()
         with self._lock:
             window = max(now - self._win_opened, 0.0)
             batches = self._win_batches_dispatched
             width_summary = latency_summary(self._win_widths)
-            lookups = cache_hits + cache_misses
-            result_lookups = result_cache_hits + result_cache_misses
             snapshot = ServingStatsSnapshot(
+                **_gauge_fields(**gauges),
                 requests_completed=self._win_requests_completed,
                 requests_failed=self._win_requests_failed,
-                requests_rejected=requests_rejected,
-                requests_shed=requests_shed,
                 nodes_completed=self._win_nodes_completed,
                 batches_dispatched=batches,
                 avg_batch_nodes=(
@@ -426,19 +449,11 @@ class ServingStats:
                 ),
                 batch_width_p50=width_summary.p50,
                 batch_width_p95=width_summary.p95,
-                batch_policy=batch_policy,
-                controller_adjustments=controller_adjustments,
                 throughput_nodes_per_second=(
                     self._win_nodes_completed / window if window > 0 else 0.0
                 ),
                 latency=latency_summary(self._win_latencies),
                 queue_wait=latency_summary(self._win_queue_waits),
-                queue_depth=queue_depth,
-                queue_max_depth=queue_max_depth,
-                cache_hits=cache_hits,
-                cache_misses=cache_misses,
-                cache_hit_rate=cache_hits / lookups if lookups else 0.0,
-                cache_entries=cache_entries,
                 macs=self._win_macs.merged_with(MACBreakdown()),
                 timings=self._win_timings.merged_with(TimingBreakdown()),
                 per_worker={},
@@ -446,35 +461,13 @@ class ServingStats:
                 nodes_replayed=self._win_nodes_replayed,
                 batches_replayed=self._win_batches_replayed,
                 replayed_macs=self._win_replayed_macs.merged_with(MACBreakdown()),
-                result_cache_hits=result_cache_hits,
-                result_cache_misses=result_cache_misses,
-                result_cache_hit_rate=(
-                    result_cache_hits / result_lookups if result_lookups else 0.0
-                ),
-                result_cache_entries=result_cache_entries,
             )
             if reset:
                 self._reset_window_locked(now)
             return snapshot
 
-    def snapshot(
-        self,
-        *,
-        queue_depth: int = 0,
-        queue_max_depth: int = 0,
-        requests_rejected: int = 0,
-        requests_shed: int = 0,
-        cache_hits: int = 0,
-        cache_misses: int = 0,
-        cache_entries: int = 0,
-        result_cache_hits: int = 0,
-        result_cache_misses: int = 0,
-        result_cache_entries: int = 0,
-        batch_policy: str = "static",
-        controller_adjustments: int = 0,
-        cache_subset_hits: int = 0,
-    ) -> ServingStatsSnapshot:
-        """Render the current counters (plus queue/cache gauges) immutably."""
+    def snapshot(self, **gauges) -> ServingStatsSnapshot:
+        """Render the current counters (plus queue/cache ``gauges``) immutably."""
         with self._lock:
             if self._first_activity is not None and self._last_activity is not None:
                 window = self._last_activity - self._first_activity
@@ -485,7 +478,6 @@ class ServingStats:
             width_summary = latency_summary(self._batch_widths)
             wave_width_summary = latency_summary(self._wave_widths)
             computed_requests = self.requests_completed - self.requests_replayed
-            lookups = cache_hits + cache_misses
             per_worker = {
                 worker: WorkerStats(
                     batches=stats.batches,
@@ -496,10 +488,9 @@ class ServingStats:
                 for worker, stats in self._per_worker.items()
             }
             return ServingStatsSnapshot(
+                **_gauge_fields(**gauges),
                 requests_completed=self.requests_completed,
                 requests_failed=self.requests_failed,
-                requests_rejected=requests_rejected,
-                requests_shed=requests_shed,
                 nodes_completed=self.nodes_completed,
                 batches_dispatched=batches,
                 avg_batch_nodes=self.nodes_completed / batches if batches else 0.0,
@@ -508,17 +499,9 @@ class ServingStats:
                 ),
                 batch_width_p50=width_summary.p50,
                 batch_width_p95=width_summary.p95,
-                batch_policy=batch_policy,
-                controller_adjustments=controller_adjustments,
                 throughput_nodes_per_second=throughput,
                 latency=latency_summary(self._latencies),
                 queue_wait=latency_summary(self._queue_waits),
-                queue_depth=queue_depth,
-                queue_max_depth=queue_max_depth,
-                cache_hits=cache_hits,
-                cache_misses=cache_misses,
-                cache_hit_rate=cache_hits / lookups if lookups else 0.0,
-                cache_entries=cache_entries,
                 macs=self._macs.merged_with(MACBreakdown()),
                 timings=self._timings.merged_with(TimingBreakdown()),
                 per_worker=per_worker,
@@ -526,14 +509,6 @@ class ServingStats:
                 nodes_replayed=self.nodes_replayed,
                 batches_replayed=self.batches_replayed,
                 replayed_macs=self._replayed_macs.merged_with(MACBreakdown()),
-                result_cache_hits=result_cache_hits,
-                result_cache_misses=result_cache_misses,
-                result_cache_hit_rate=(
-                    result_cache_hits / (result_cache_hits + result_cache_misses)
-                    if (result_cache_hits + result_cache_misses)
-                    else 0.0
-                ),
-                result_cache_entries=result_cache_entries,
                 prefetch_issued=self.prefetch_issued,
                 prefetch_completed=self.prefetch_completed,
                 prefetch_cancelled=self.prefetch_cancelled,
@@ -549,7 +524,6 @@ class ServingStats:
                     if self._wave_total_row_macs
                     else 0.0
                 ),
-                cache_subset_hits=cache_subset_hits,
                 macs_per_request=(
                     self._macs.total / computed_requests
                     if computed_requests > 0

@@ -142,26 +142,22 @@ def _needed_rows(
 
 
 def attribute_wave_macs(
-    bundle: SupportBundle,
-    offsets: np.ndarray,
-    result: InferenceResult,
-    *,
-    policy,
-    classifiers,
-    config,
-    stationary_num_nodes: int,
+    engine, bundle: SupportBundle, offsets: np.ndarray, result: InferenceResult
 ) -> WaveAttribution:
     """Split a union sweep's engine-reported MACs across its members.
 
-    ``bundle`` must be the exact bundle the sweep executed (targets in
-    union batch order); ``offsets`` delimits member ``k``'s occurrences
-    as ``[offsets[k], offsets[k+1])``.  The replay mirrors the fused
+    ``engine`` is any engine of the deployment that ran the sweep (only its
+    policy, classifiers, config and graph size are read); ``bundle`` must
+    be the exact bundle the sweep executed (targets in union batch order);
+    ``offsets`` delimits member ``k``'s occurrences as
+    ``[offsets[k], offsets[k+1])``.  The replay mirrors the fused
     loop's control flow — prefix-mode hop pruning until the first exit,
     BFS-refreshed needed sets after — using only ``result.depths``, so it
     runs no floating-point propagation.  Raises
     :class:`~repro.exceptions.ServingError` if the attributed totals do
     not reconcile exactly with ``result.macs``.
     """
+    policy, classifiers, config = engine.policy, engine.classifiers, engine.config
     offsets = np.asarray(offsets, dtype=np.int64)
     depths = np.asarray(result.depths, dtype=np.int64)
     num_members = int(offsets.shape[0] - 1)
@@ -188,7 +184,7 @@ def attribute_wave_macs(
 
     # Stationary term: N*F split pro-rata by member size (integer remainder
     # to member 0) + each member's own |batch_k|*F.
-    graph_term = int(stationary_num_nodes) * num_features
+    graph_term = int(engine.stationary.num_nodes) * num_features
     shares = (graph_term * member_sizes) // num_occurrences
     shares[0] += graph_term - int(shares.sum())
     stationary += shares + member_sizes * num_features
@@ -327,15 +323,7 @@ def execute_wave(engine, batches, *, bundle: SupportBundle | None = None) -> Wav
     if bundle is None:
         bundle = engine.build_support(union)
     result = engine.run_batch(union, bundle=bundle)
-    attribution = attribute_wave_macs(
-        bundle,
-        offsets,
-        result,
-        policy=engine.policy,
-        classifiers=engine.classifiers,
-        config=engine.config,
-        stationary_num_nodes=engine.stationary.num_nodes,
-    )
+    attribution = attribute_wave_macs(engine, bundle, offsets, result)
     return WaveResult(
         result=result, offsets=offsets, attribution=attribution, bundle=bundle
     )

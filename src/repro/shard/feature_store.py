@@ -35,7 +35,7 @@ never exceed the budget: the hot matrix is allocated once with
 things the serving stack does with ``GraphShard.features`` — fancy-index
 rows (:func:`~repro.transport.base.answer_from_shard`'s ``feature_rows``
 path) and report ``.nbytes`` (the shard footprint) — so
-:meth:`~repro.shard.store.ShardedGraphStore.use_tiered_features` swaps it
+:meth:`~repro.serving.cluster.ClusterBuilder.tiered_features` swaps it
 in without touching any transport or engine code.
 """
 

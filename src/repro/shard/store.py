@@ -32,7 +32,7 @@ order.  Every fetch goes through a pluggable
 :class:`~repro.transport.ShardTransport` — in-process zero-copy by default
 (:class:`~repro.transport.LocalTransport`), swappable for the TCP backend
 (:class:`~repro.transport.SocketTransport`) or the fault-injecting test
-wrapper via :meth:`ShardedGraphStore.use_transport` — and each hop's
+wrapper via :class:`~repro.serving.cluster.ClusterBuilder` — and each hop's
 per-shard requests form one transport *round*, which is the unit the socket
 backend pipelines.  Per-shard fetch counters (:class:`ShardTraffic`)
 quantify the cross-shard rows *and bytes* a networked deployment pays.
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -208,7 +207,7 @@ class ShardedGraphStore:
         # calling thread has an active trace context, every transport round
         # becomes a ``fetch.round`` span (see repro.obs).
         self._tracer = None
-        # Populated by use_tiered_features: one TieredFeatureStore per shard.
+        # Populated by _set_tiered_features: one TieredFeatureStore per shard.
         self._feature_tiers: list = []
 
     # ------------------------------------------------------------------ #
@@ -346,67 +345,6 @@ class ShardedGraphStore:
             tiers.append(store)
         self._feature_tiers = tiers
         return self
-
-    # ------------------------------------------------------------------ #
-    # Deprecated mutator shims (pre-ClusterBuilder configuration surface)
-    # ------------------------------------------------------------------ #
-    def use_transport(self, transport: ShardTransport) -> "ShardedGraphStore":
-        """Deprecated: use :class:`~repro.serving.cluster.ClusterBuilder`.
-
-        Equivalent to ``ClusterBuilder(...).transport(transport)``; kept as
-        a thin shim over the internal setter for existing call sites.
-        """
-        warnings.warn(
-            "ShardedGraphStore.use_transport is deprecated; configure the "
-            "fleet through repro.serving.cluster.ClusterBuilder",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._set_transport(transport)
-
-    def use_tracer(self, tracer) -> "ShardedGraphStore":
-        """Deprecated: use :class:`~repro.serving.cluster.ClusterBuilder`.
-
-        Equivalent to ``ClusterBuilder(...).traced(tracer)``; kept as a
-        thin shim over the internal setter for existing call sites.
-        """
-        warnings.warn(
-            "ShardedGraphStore.use_tracer is deprecated; configure the "
-            "fleet through repro.serving.cluster.ClusterBuilder",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._set_tracer(tracer)
-
-    def use_replicated_transport(self, rails=None, **kwargs) -> "ShardedGraphStore":
-        """Deprecated: use :class:`~repro.serving.cluster.ClusterBuilder`.
-
-        Equivalent to ``ClusterBuilder(...).replicated(...)``; kept as a
-        thin shim over the internal setter for existing call sites.
-        """
-        warnings.warn(
-            "ShardedGraphStore.use_replicated_transport is deprecated; "
-            "configure the fleet through repro.serving.cluster.ClusterBuilder",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._set_replicated_transport(rails, **kwargs)
-
-    def use_tiered_features(
-        self, budget_bytes: int, **kwargs
-    ) -> "ShardedGraphStore":
-        """Deprecated: use :class:`~repro.serving.cluster.ClusterBuilder`.
-
-        Equivalent to ``ClusterBuilder(...).tiered_features(...)``; kept as
-        a thin shim over the internal setter for existing call sites.
-        """
-        warnings.warn(
-            "ShardedGraphStore.use_tiered_features is deprecated; configure "
-            "the fleet through repro.serving.cluster.ClusterBuilder",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._set_tiered_features(budget_bytes, **kwargs)
 
     @property
     def feature_tiers(self) -> list:

@@ -21,6 +21,7 @@ from repro.obs import (
     RebalanceAdvisor,
     SLOEngine,
 )
+from repro.serving import ClusterBuilder
 from repro.serving.clock import FakeClock
 from repro.shard import GraphPartitioner, ShardRouter, ShardedPredictor
 from repro.transport import OP_FEATURES, LocalTransport, ShardTransport
@@ -266,17 +267,20 @@ class TestAutoRebalanceEndToEnd:
         hot = int(np.argmax(plan0.shard_sizes()))
 
         def build(plan):
-            sharded = ShardedPredictor.from_predictor(unsharded).prepare(
-                tiny_dataset.graph, tiny_dataset.features, shard_config, plan=plan
+            def rails(store):
+                return [
+                    ShardDelayTransport(LocalTransport(store.shards), {hot: HOT_DELAY}),
+                    LocalTransport(store.shards),
+                ][: plan.max_replication]
+
+            return (
+                ClusterBuilder(ShardedPredictor.from_predictor(unsharded))
+                .graph(tiny_dataset.graph, tiny_dataset.features)
+                .shards(4, strategy="degree_balanced")
+                .plan(plan)
+                .replicated(rails, route_by="latency")
+                .build_predictor()
             )
-            rails = [
-                ShardDelayTransport(
-                    LocalTransport(sharded.store.shards), {hot: HOT_DELAY}
-                ),
-                LocalTransport(sharded.store.shards),
-            ][: plan.max_replication]
-            sharded.store.use_replicated_transport(rails, route_by="latency")
-            return sharded
 
         # Zipf-ish skew: 80% of batches target the hot shard's owned nodes.
         rng = np.random.default_rng(7)

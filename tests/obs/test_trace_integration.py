@@ -71,12 +71,12 @@ class TestVirtualTimeSpans:
         )
         clock = FakeClock()
         tracer = Tracer(clock=clock)
-        store.use_transport(
+        store._set_transport(
             FaultInjectingTransport(
                 LocalTransport(store.shards), latency_seconds=0.5, clock=clock
             )
         )
-        store.use_tracer(tracer)
+        store._set_tracer(tracer)
         root = tracer.new_trace()
         with tracer.activate(root):
             bundle = store.build_support_bundle(
@@ -103,7 +103,7 @@ class TestVirtualTimeSpans:
     def test_untraced_store_records_nothing(self):
         store = make_store()
         tracer = Tracer(clock=FakeClock())
-        store.use_tracer(tracer)
+        store._set_tracer(tracer)
         # No activated context: the fetch sites must not allocate spans.
         store.build_support_bundle(
             np.arange(6, dtype=np.int64), depth=2, home_shard=0
@@ -218,7 +218,7 @@ class TestShardLoadAttribution:
     def test_analyzer_rows_match_shard_traffic_exactly(self):
         store = make_store()
         tracer = Tracer(recorder=TraceRecorder(capacity=65536))
-        store.use_tracer(tracer)
+        store._set_tracer(tracer)
         home = 2
         owned = store.shards[home].owned
         root = tracer.new_trace()
@@ -308,8 +308,8 @@ class TestCrossProcessStitching:
             )
             tracer = Tracer()
             transport = SocketTransport(addresses, timeout_seconds=10.0)
-            store.use_transport(transport)
-            store.use_tracer(tracer)
+            store._set_transport(transport)
+            store._set_tracer(tracer)
             root = tracer.new_trace()
             start = tracer.clock.now()
             with tracer.activate(root), transport:

@@ -4,7 +4,7 @@ Covers build-path validation (prepared vs unprepared predictors, the
 transport/replicated exclusivity, single-shot reuse), the wiring each
 declaration performs (transport, replica rails, tiered features, wave
 width), served equivalence against the :class:`ShardedPredictor` oracle,
-and the deprecation shims the builder supersedes.
+and that the store mutators the builder superseded stay deleted.
 """
 
 import numpy as np
@@ -194,17 +194,12 @@ class TestDeclarationWiring:
             )
 
 
-class TestDeprecatedShims:
-    def test_store_mutators_warn_but_delegate(self):
+class TestSupersededMutators:
+    @pytest.mark.parametrize(
+        "name",
+        ["use_transport", "use_tracer", "use_replicated_transport", "use_tiered_features"],
+    )
+    def test_store_mutators_are_gone(self, name):
         predictor, graph, features = fresh_predictor()
         predictor.prepare(graph, features, ShardConfig(num_shards=2))
-        store = predictor.store
-        with pytest.warns(DeprecationWarning, match="ClusterBuilder"):
-            store.use_transport(LocalTransport(store.shards))
-        with pytest.warns(DeprecationWarning, match="ClusterBuilder"):
-            store.use_replicated_transport()
-        with pytest.warns(DeprecationWarning, match="ClusterBuilder"):
-            store.use_tiered_features(features.nbytes)
-        ids = np.arange(0, 32, dtype=np.int64)
-        result = predictor.predict(ids)
-        assert result.predictions.shape == ids.shape
+        assert not hasattr(predictor.store, name)

@@ -1,6 +1,7 @@
 """Prefetch pipeline: overlap accounting, lifecycle, and served equivalence."""
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,12 +9,7 @@ import pytest
 from repro.core import ServingConfig
 from repro.exceptions import ConfigurationError, ServingError
 from repro.graph.sampling import batch_iterator
-from repro.serving import (
-    BusyTracker,
-    InferenceServer,
-    PrefetchPipeline,
-    PrefetchTask,
-)
+from repro.serving import BusyTracker, InferenceServer, PrefetchPipeline
 from repro.serving.clock import FakeClock
 
 
@@ -47,12 +43,9 @@ def serving_config(**overrides) -> ServingConfig:
     return ServingConfig(**base)
 
 
-def task_for(batch_id: int) -> PrefetchTask:
-    ids = np.array([batch_id], dtype=np.int64)
-    return PrefetchTask(
-        micro_batch=batch_id, sorted_ids=ids, rank=np.array([0]),
-        cache_key=bytes([batch_id]),
-    )
+def task_for(batch_id: int) -> SimpleNamespace:
+    """The pipeline never looks inside a task; the stubs read ``micro_batch``."""
+    return SimpleNamespace(micro_batch=batch_id)
 
 
 # ---------------------------------------------------------------------- #
@@ -296,12 +289,6 @@ class TestPrefetchGating:
         with pytest.raises(ConfigurationError, match="cache"):
             InferenceServer(
                 deployed, serving_config(prefetch_depth=1, cache_capacity=0)
-            )
-
-    def test_prefetch_requires_the_thread_backend(self, deployed):
-        with pytest.raises(ConfigurationError, match="thread"):
-            InferenceServer(
-                deployed, serving_config(prefetch_depth=1, backend="process")
             )
 
 

@@ -1,12 +1,17 @@
 """End-to-end tests for the InferenceServer (queue → batcher → pool → stats)."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.core import ServingConfig
+from repro.core.inference import BatchEngine
 from repro.exceptions import BackpressureError, ConfigurationError, ServingError
 from repro.graph.sampling import batch_iterator
 from repro.serving import InferenceServer
+from repro.serving.stats import _gauge_fields
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +48,6 @@ class TestServerValidation:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             ServingConfig(num_workers=0)
-        with pytest.raises(ConfigurationError):
-            ServingConfig(backend="fiber")
         with pytest.raises(ConfigurationError):
             ServingConfig(overflow_policy="drop")
         with pytest.raises(ConfigurationError):
@@ -132,6 +135,25 @@ class TestServingStats:
         merged = sum((w.macs.total for w in stats.per_worker.values()))
         assert merged == pytest.approx(stats.macs.total, abs=1e-9)
 
+    def test_cumulative_and_interval_snapshots_agree_on_every_gauge(
+        self, deployed, tiny_dataset
+    ):
+        """Regression: ``interval_stats()`` dropped ``cache_subset_hits``."""
+        test_idx = np.asarray(tiny_dataset.split.test_idx)
+        ticks = batch_iterator(test_idx, 32)
+        config = serving_config(result_cache_capacity=4, cache_subset_lookups=True)
+        with InferenceServer(deployed, config) as server:
+            server.predict_many(ticks)
+            server.submit(ticks[0]).result(timeout=10.0)  # a result-cache replay
+            # The first tick's bundle is cached: a subset of it slices, not builds.
+            server.submit(np.sort(ticks[0])[:16]).result(timeout=10.0)
+            cumulative = server.stats()
+            interval = server.interval_stats()
+        assert cumulative.cache_subset_hits == 1
+        assert cumulative.result_cache_hits == 1
+        for name in _gauge_fields():
+            assert getattr(interval, name) == getattr(cumulative, name), name
+
 
 class TestDispatcherResilience:
     @pytest.mark.parametrize("cache_capacity", [16, 0])
@@ -207,13 +229,132 @@ class TestBackpressure:
         assert outcomes["served"] + outcomes["shed"] == 32
 
 
-class TestProcessBackend:
-    def test_process_pool_matches_sequential(self, deployed, sequential, tiny_dataset):
-        pytest.importorskip("multiprocessing")
+def wait_until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.005)
+
+
+def hold_dispatcher(server) -> threading.Event:
+    """Park the dispatcher before its next coalesce; returns the release gate.
+
+    Requests submitted while it is parked are all *already ready* when it
+    resumes, so the units it forms are deterministic: ``wave_width`` members
+    each, in submission order.
+    """
+    parked, gate = threading.Event(), threading.Event()
+    next_batch = server.batcher.next_batch
+
+    def gated(poll_timeout=0.05):
+        parked.set()
+        assert gate.wait(timeout=30.0)
+        return next_batch(poll_timeout=poll_timeout)
+
+    server.batcher.next_batch = gated
+    assert parked.wait(timeout=10.0)
+    return gate
+
+
+class FetcherGatedPredictor:
+    """The deployed predictor, except fetcher threads wait for their engine.
+
+    With the fetchers held, units the dispatcher hands to the prefetch
+    pipeline stay parked in its queue.
+    """
+
+    def __init__(self, inner, gate: threading.Event) -> None:
+        self._inner, self._gate = inner, gate
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def make_engine(self):
+        if threading.current_thread().name.startswith("nai-prefetch"):
+            assert self._gate.wait(timeout=30.0)
+        return self._inner.make_engine()
+
+
+class TestStageBoundaryFailures:
+    """A fault at any stage boundary fails the unit's requests exactly once."""
+
+    NUM_REQUESTS, REQUEST_SIZE, WAVE_WIDTH = 8, 4, 4
+
+    def config(self, prefetch_depth: int) -> ServingConfig:
+        return serving_config(
+            num_workers=2, max_batch_size=self.REQUEST_SIZE, max_wait_ms=0.0,
+            wave_width=self.WAVE_WIDTH, prefetch_depth=prefetch_depth,
+        )
+
+    def submit_fused(self, server, tiny_dataset):
+        """Two fused units of four one-request members each."""
         test_idx = np.asarray(tiny_dataset.split.test_idx)
-        config = serving_config(backend="process", num_workers=2, cache_capacity=16)
-        with InferenceServer(deployed, config) as server:
-            assert server.cache is None  # bundles do not cross the fork boundary
-            responses = server.predict_many(batch_iterator(test_idx, 32), timeout=60.0)
-        predictions = np.concatenate([r.predictions for r in responses])
-        np.testing.assert_array_equal(predictions, sequential.predictions)
+        gate = hold_dispatcher(server)
+        handles = [
+            server.submit(test_idx[i * self.REQUEST_SIZE:(i + 1) * self.REQUEST_SIZE])
+            for i in range(self.NUM_REQUESTS)
+        ]
+        return gate, handles
+
+    def assert_all_failed_once(self, server, handles, match: str) -> None:
+        for handle in handles:
+            with pytest.raises(Exception, match=match):
+                handle.result(timeout=30.0)
+        server.drain(timeout=10.0)
+        stats = server.stats()
+        assert stats.requests_failed == len(handles)
+        assert stats.requests_completed == 0
+        # A second release of any member's slot would drive this negative.
+        assert server._inflight == 0
+
+    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    @pytest.mark.parametrize(
+        "stage, target, attribute",
+        [
+            ("resolve", BatchEngine, "build_support"),
+            ("compute", BatchEngine, "run_batch"),
+            ("complete", "repro.serving.server", "attribute_wave_macs"),
+        ],
+    )
+    def test_injected_fault_fails_every_member_exactly_once(
+        self, deployed, tiny_dataset, monkeypatch, stage, target, attribute,
+        prefetch_depth,
+    ):
+        def boom(*args, **kwargs):
+            raise RuntimeError(f"injected {stage} fault")
+
+        server = InferenceServer(deployed, self.config(prefetch_depth))
+        try:
+            gate, handles = self.submit_fused(server, tiny_dataset)
+            if isinstance(target, str):
+                monkeypatch.setattr(f"{target}.{attribute}", boom)
+            else:
+                monkeypatch.setattr(target, attribute, boom)
+            gate.set()
+            self.assert_all_failed_once(server, handles, f"injected {stage} fault")
+            assert server.stats().waves_dispatched == 0
+        finally:
+            monkeypatch.undo()
+            server.close()
+
+    def test_abort_fails_units_parked_in_the_fetch_queue(self, deployed, tiny_dataset):
+        fetchers = threading.Event()
+        server = InferenceServer(
+            FetcherGatedPredictor(deployed, fetchers), self.config(prefetch_depth=2)
+        )
+        closer = threading.Thread(target=server.close, kwargs={"abort": True})
+        try:
+            gate, handles = self.submit_fused(server, tiny_dataset)
+            gate.set()
+            # Both units miss the cache and park behind the held fetchers.
+            wait_until(lambda: server.stats().prefetch_issued == 2)
+            closer.start()
+            wait_until(lambda: server._prefetch.stopped)
+            fetchers.set()  # the fetchers wake, see the stop and exit
+            closer.join(timeout=30.0)
+            assert not closer.is_alive()
+            self.assert_all_failed_once(server, handles, "shut down before prefetch")
+            assert server.stats().prefetch_cancelled == 2
+        finally:
+            fetchers.set()
+            server.close()

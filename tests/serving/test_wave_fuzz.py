@@ -13,16 +13,21 @@ enforces, for every combination:
   bit-identical to the :class:`~repro.shard.ShardedPredictor` oracle and
   its attributed response MACs sum to the served totals;
 * ``wave_width=1`` is the pre-wave dispatch path: same responses, no
-  waves counted.
+  waves counted;
+* the product ``wave_width`` x ``prefetch_depth`` x transport stays
+  bit-identical to the unsharded :class:`~repro.core.NAIPredictor`, conserves
+  MACs exactly and answers every accepted request exactly once.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import NAIConfig, ServingConfig, ShardConfig
+from repro.core import NAIConfig, NAIPredictor, ServingConfig, ShardConfig
 from repro.core.distance_nap import DistanceNAP
 from repro.graph.generators import SyntheticGraphSpec, generate_community_graph
 from repro.models import SGC
+from repro.obs import Tracer
+from repro.obs.analysis import CriticalPathAnalyzer
 from repro.serving import InferenceServer, execute_wave
 from repro.shard import ShardedPredictor
 from repro.transport import (
@@ -44,7 +49,7 @@ REQUEST_SIZE = 8
 NUM_REQUESTS = 16
 
 
-def build_sharded(seed: int, num_shards: int) -> ShardedPredictor:
+def build_parts(seed: int):
     spec = SyntheticGraphSpec(
         num_nodes=210, num_classes=4, avg_degree=6.0, degree_exponent=2.2
     )
@@ -52,12 +57,22 @@ def build_sharded(seed: int, num_shards: int) -> ShardedPredictor:
     rng = np.random.default_rng(seed + 50)
     features = rng.normal(size=(graph.num_nodes, 6)).astype(np.float32)
     classifiers = SGC(6, 4, depth=3, rng=seed).make_all_classifiers()
-    predictor = ShardedPredictor(
-        classifiers,
+    policy_config = dict(
         policy=DistanceNAP(0.15),
         config=NAIConfig(t_min=1, t_max=3, batch_size=32),
     )
-    return predictor.prepare(
+    return graph, features, classifiers, policy_config
+
+
+def build_unsharded(seed: int) -> NAIPredictor:
+    """The sequential oracle every served configuration must reproduce."""
+    graph, features, classifiers, policy_config = build_parts(seed)
+    return NAIPredictor(classifiers, **policy_config).prepare(graph, features)
+
+
+def build_sharded(seed: int, num_shards: int) -> ShardedPredictor:
+    graph, features, classifiers, policy_config = build_parts(seed)
+    return ShardedPredictor(classifiers, **policy_config).prepare(
         graph,
         features,
         ShardConfig(num_shards=num_shards, strategy="degree_balanced"),
@@ -156,7 +171,10 @@ class TestExecuteWaveFuzz:
                 assert union_macs < isolated_macs
 
 
-def serve_all(sharded, requests, *, wave_width: int, config: ServingConfig = None):
+def serve_all(
+    sharded, requests, *, wave_width: int, config: ServingConfig = None,
+    prefetch_depth: int = 0, tracer=None,
+):
     if config is None:
         config = ServingConfig(
             num_workers=2,
@@ -164,10 +182,12 @@ def serve_all(sharded, requests, *, wave_width: int, config: ServingConfig = Non
             max_wait_ms=1.0,
             cache_capacity=32,
             wave_width=wave_width,
+            prefetch_depth=prefetch_depth,
         )
-    with InferenceServer(sharded.shard_view(0), config) as server:
+    with InferenceServer(sharded.shard_view(0), config, tracer=tracer) as server:
         handles = [server.submit(batch) for batch in requests]
         responses = [handle.result(timeout=60.0) for handle in handles]
+        server.drain(timeout=0.0)  # every accepted request already answered
         stats = server.stats()
     return responses, stats
 
@@ -239,3 +259,80 @@ class TestWaveServerEquivalence:
             assert stats.wave_members == 0
             assert stats.shared_row_fraction == 0.0
         assert one_stats.macs.total == base_stats.macs.total
+
+    @pytest.mark.parametrize("transport_kind", ["local", "latency", "replicated-kills"])
+    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    @pytest.mark.parametrize("wave_width", [1, 4])
+    def test_wave_prefetch_product_matches_the_sequential_oracle(
+        self, wave_width, prefetch_depth, transport_kind
+    ):
+        """Form x resolve compose: every pairing is one pipeline, not a mode."""
+        seed = 7
+        oracle = build_unsharded(seed)
+        sharded = build_sharded(seed, 2)
+        store = sharded.store
+        requests = zipfian_requests(store.num_nodes, seed)
+
+        sharded.use_transport(make_transport(transport_kind, store))
+        try:
+            responses, stats = serve_all(
+                sharded, requests, wave_width=wave_width,
+                prefetch_depth=prefetch_depth,
+            )
+        finally:
+            sharded.use_transport(LocalTransport(store.shards))
+
+        for response, batch in zip(responses, requests):
+            expected = oracle.predict(batch)
+            np.testing.assert_array_equal(response.predictions, expected.predictions)
+            np.testing.assert_array_equal(response.depths, expected.depths)
+            assert 1 <= response.wave_width <= wave_width
+        # Every accepted request resolved exactly once: one response each,
+        # nothing failed, nothing counted twice.
+        assert stats.requests_completed == len(requests)
+        assert stats.requests_failed == 0
+        # Exact MAC conservation: the per-micro-batch shares on the
+        # responses re-sum to the served total, fused or not.
+        by_batch = {r.batch_id: r.batch_macs.total for r in responses}
+        assert sum(by_batch.values()) == stats.macs.total
+        isolated = sum(oracle.predict(batch).macs.total for batch in requests)
+        if stats.waves_dispatched == 0:
+            assert stats.macs.total == isolated
+        else:
+            assert stats.macs.total <= isolated
+            assert stats.wave_members > stats.waves_dispatched
+        if wave_width == 1:
+            assert stats.waves_dispatched == 0
+        assert stats.prefetch_completed == stats.prefetch_issued
+        assert (stats.prefetch_issued > 0) == (prefetch_depth > 0)
+
+    def test_fused_units_emit_one_attributed_scatter_span(self):
+        """Regression: wave-mode scatter time was reported as *unattributed*
+        (a ``wave.scatter`` span the analyzer did not know)."""
+        sharded = build_sharded(0, 2)
+        store = sharded.store
+        requests = zipfian_requests(store.num_nodes, 0)
+        tracer = Tracer()
+        sharded.use_transport(
+            FaultInjectingTransport(
+                LocalTransport(store.shards), latency_seconds=0.002
+            )
+        )
+        try:
+            _, stats = serve_all(sharded, requests, wave_width=4, tracer=tracer)
+        finally:
+            sharded.use_transport(LocalTransport(store.shards))
+        assert stats.waves_dispatched > 0
+
+        spans = tracer.spans()
+        scatters = [span for span in spans if span.name == "scatter"]
+        executes = [span for span in spans if span.name == "batch.execute"]
+        assert not [span for span in spans if span.name.startswith("wave.")]
+        # One scatter per dispatch unit, carrying the unit's width.
+        assert len(scatters) == len(executes)
+        assert sorted(s.attributes["wave_width"] for s in scatters) == sorted(
+            e.attributes["wave_width"] for e in executes
+        )
+        assert max(s.attributes["wave_width"] for s in scatters) > 1
+        totals = CriticalPathAnalyzer(spans).breakdown_totals()
+        assert totals["scatter"] == pytest.approx(sum(s.duration for s in scatters))

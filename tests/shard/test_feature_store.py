@@ -178,7 +178,7 @@ class TestStoreTiering:
         full_nbytes = sum(
             np.asarray(shard.features).nbytes for shard in store.shards
         )
-        store.use_tiered_features(full_nbytes // 4)  # way below the matrix
+        store._set_tiered_features(full_nbytes // 4)  # way below the matrix
         tiered = sharded.predict(targets)
         np.testing.assert_array_equal(tiered.predictions, oracle.predictions)
         np.testing.assert_array_equal(tiered.depths, oracle.depths)
@@ -192,7 +192,7 @@ class TestStoreTiering:
         store = sharded.store
         before = store.memory_report()
         assert "feature_tiers" not in before
-        store.use_tiered_features(1 << 14)
+        store._set_tiered_features(1 << 14)
         sharded.predict(np.arange(64))
         report = store.memory_report()
         assert len(report["feature_tiers"]) == store.num_shards
@@ -208,14 +208,14 @@ class TestStoreTiering:
         full_features = sum(
             np.asarray(shard.features).nbytes for shard in store.shards
         )
-        store.use_tiered_features(full_features // 8)
+        store._set_tiered_features(full_features // 8)
         after = sum(shard.nbytes for shard in store.shards)
         assert after <= before - full_features + full_features // 8 + 1024
 
     def test_double_tiering_and_bad_budget_are_rejected(self, sharded):
         store = sharded.store
         with pytest.raises(GraphConstructionError, match="positive"):
-            store.use_tiered_features(0)
-        store.use_tiered_features(1 << 14)
+            store._set_tiered_features(0)
+        store._set_tiered_features(1 << 14)
         with pytest.raises(GraphConstructionError, match="already"):
-            store.use_tiered_features(1 << 14)
+            store._set_tiered_features(1 << 14)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import ShardConfig
 from repro.exceptions import TransportError
+from repro.serving import ClusterBuilder
 from repro.serving.clock import FakeClock
 from repro.shard import ShardedPredictor
 from repro.transport import (
@@ -91,9 +92,9 @@ def test_replica_deaths_mid_bundle_stay_bit_identical(
         # later heal, exercising the probation path too.
         heal = 8 if shard_id % 2 == 0 else None
         rails[rail].schedule_kill(shard_id, 2, heal, replica_index=rail)
-    sharded.store.use_replicated_transport(
+    ClusterBuilder(sharded).replicated(
         rails, retry_policy=FAST_RETRY, clock=FakeClock(), probe_after_rounds=3
-    )
+    ).build_predictor()
 
     rng = np.random.default_rng(10 * num_shards + replicas)
     node_ids = rng.permutation(graph.num_nodes)
@@ -112,9 +113,9 @@ def test_replication_factor_one_fails_clean_and_recovers(fuzz_deployment):
     graph, predictor, sharded = _prepare(fuzz_deployment, 2, 1)
     rails = _fault_rails(sharded.store.shards, 1)
     rails[0].schedule_kill(0, 2, replica_index=0)
-    sharded.store.use_replicated_transport(
+    ClusterBuilder(sharded).replicated(
         rails, retry_policy=NO_RETRY, clock=FakeClock()
-    )
+    ).build_predictor()
 
     node_ids = np.arange(graph.num_nodes)
     with pytest.raises(TransportError, match=r"all 1 replica\(s\) of shard 0"):
@@ -147,7 +148,9 @@ def test_server_death_during_pipelined_round_fails_over_to_sibling_rail(
                 rail0_servers.connect(timeout_seconds=10.0),
                 rail1_servers.connect(timeout_seconds=10.0),
             ]
-            sharded.store.use_replicated_transport(rails, retry_policy=FAST_RETRY)
+            ClusterBuilder(sharded).replicated(
+                rails, retry_policy=FAST_RETRY
+            ).build_predictor()
             try:
                 _assert_bit_identical(
                     "both-rails-up", sharded.predict(node_ids), oracle
@@ -160,7 +163,7 @@ def test_server_death_during_pipelined_round_fails_over_to_sibling_rail(
                 assert stats["failovers"] > 0
                 assert stats["health_transitions"] > 0
             finally:
-                sharded.store.use_transport(LocalTransport(shards))
+                sharded.use_transport(LocalTransport(shards))
                 for rail in rails:
                     rail.close()
 
@@ -179,7 +182,7 @@ def test_all_socket_replicas_dead_raises_instead_of_hanging(small_deployment):
         rail0_servers.connect(timeout_seconds=5.0),
         rail1_servers.connect(timeout_seconds=5.0),
     ]
-    sharded.store.use_replicated_transport(rails, retry_policy=NO_RETRY)
+    ClusterBuilder(sharded).replicated(rails, retry_policy=NO_RETRY).build_predictor()
     try:
         sharded.predict(np.arange(12))
         rail0_servers.stop()
@@ -187,7 +190,7 @@ def test_all_socket_replicas_dead_raises_instead_of_hanging(small_deployment):
         with pytest.raises(TransportError, match="all 2 replica"):
             sharded.predict(np.arange(12))
     finally:
-        sharded.store.use_transport(LocalTransport(shards))
+        sharded.use_transport(LocalTransport(shards))
         for rail in rails:
             rail.close()
         rail0_servers.stop()

@@ -48,13 +48,13 @@ class TestBundleAssemblyFaults:
             LocalTransport(store.shards),
             script=["ok", "ok", "ok", "drop"],
         )
-        store.use_transport(fault)
+        store._set_transport(fault)
         try:
             with pytest.raises(TransportError, match="injected drop"):
                 store.build_support_bundle(targets, 3)
             retried = store.build_support_bundle(targets, 3)
         finally:
-            store.use_transport(LocalTransport(store.shards))
+            store._set_transport(LocalTransport(store.shards))
         for name, mine in _bundle_arrays(retried):
             np.testing.assert_array_equal(
                 mine, dict(_bundle_arrays(oracle))[name], err_msg=name
@@ -63,7 +63,7 @@ class TestBundleAssemblyFaults:
     def test_disconnect_fails_every_round_until_reconnect(self, sharded):
         store = sharded.store
         fault = FaultInjectingTransport(LocalTransport(store.shards))
-        store.use_transport(fault)
+        store._set_transport(fault)
         try:
             fault.disconnect()
             with pytest.raises(TransportError):
@@ -74,7 +74,7 @@ class TestBundleAssemblyFaults:
             oracle = store.build_support_bundle(np.arange(4), 2)
             assert oracle.num_local > 0
         finally:
-            store.use_transport(LocalTransport(store.shards))
+            store._set_transport(LocalTransport(store.shards))
 
 
 class TestSocketFaults:
@@ -86,7 +86,7 @@ class TestSocketFaults:
         oracle = store.build_support_bundle(targets, 3)
         with ShardServerGroup(store.shards) as group:
             transport = group.connect(timeout_seconds=10.0)
-            store.use_transport(transport)
+            store._set_transport(transport)
             try:
                 first = store.build_support_bundle(targets, 3)
                 opened = transport.reconnects
@@ -99,7 +99,7 @@ class TestSocketFaults:
                 retried = store.build_support_bundle(targets, 3)
                 assert transport.reconnects > opened
             finally:
-                store.use_transport(LocalTransport(store.shards))
+                store._set_transport(LocalTransport(store.shards))
                 transport.close()
         for name, mine in _bundle_arrays(retried):
             reference = dict(_bundle_arrays(oracle))[name]
@@ -112,14 +112,14 @@ class TestSocketFaults:
         store = sharded.store
         group = ShardServerGroup(store.shards).start()
         transport = group.connect(timeout_seconds=5.0)
-        store.use_transport(transport)
+        store._set_transport(transport)
         try:
             store.build_support_bundle(np.arange(6), 2)
             group.stop()
             with pytest.raises(TransportError):
                 store.build_support_bundle(np.arange(6), 2)
         finally:
-            store.use_transport(LocalTransport(store.shards))
+            store._set_transport(LocalTransport(store.shards))
             transport.close()
 
 
@@ -130,7 +130,7 @@ class TestKillWindows:
         # Shard 1 is down for this wrapper's rounds [0, 3); shard-0-only
         # fetches sail through, and round 3 onward everything works again.
         fault.schedule_kill(1, 0, 3)
-        store.use_transport(fault)
+        store._set_transport(fault)
         try:
             only_shard0 = store.shards[0].owned[:4]
             store.fetch_degrees(only_shard0)  # round 0: no shard-1 request
@@ -142,7 +142,7 @@ class TestKillWindows:
             assert healed.shape == (8,)
             assert fault.faults_injected == 2
         finally:
-            store.use_transport(LocalTransport(store.shards))
+            store._set_transport(LocalTransport(store.shards))
 
     def test_kill_targets_one_replica_wrapper_only(self, sharded):
         store = sharded.store
@@ -155,11 +155,11 @@ class TestKillWindows:
         for wrapper in (replica0, replica1):
             wrapper.schedule_kill(0, 0, replica_index=0)
         with pytest.raises(TransportError, match="replica 0 of shard 0"):
-            store.use_transport(replica0).fetch_degrees(np.arange(6))
+            store._set_transport(replica0).fetch_degrees(np.arange(6))
         # The same window on the replica-1 wrapper never applies.
-        degrees = store.use_transport(replica1).fetch_degrees(np.arange(6))
+        degrees = store._set_transport(replica1).fetch_degrees(np.arange(6))
         assert degrees.shape == (6,)
-        store.use_transport(LocalTransport(store.shards))
+        store._set_transport(LocalTransport(store.shards))
 
     def test_kill_window_validation(self, sharded):
         fault = FaultInjectingTransport(LocalTransport(sharded.store.shards))
@@ -173,9 +173,9 @@ class TestKillWindows:
         fault = FaultInjectingTransport(LocalTransport(store.shards))
         fault.schedule_kill(0, 0)
         fault.clear_kills()
-        degrees = store.use_transport(fault).fetch_degrees(np.arange(5))
+        degrees = store._set_transport(fault).fetch_degrees(np.arange(5))
         assert degrees.shape == (5,)
-        store.use_transport(LocalTransport(store.shards))
+        store._set_transport(LocalTransport(store.shards))
 
 
 class TestServingUnderFaults:
@@ -188,7 +188,7 @@ class TestServingUnderFaults:
         _, _, predictor = small_deployment
         store = sharded.store
         fault = FaultInjectingTransport(LocalTransport(store.shards))
-        store.use_transport(fault)
+        store._set_transport(fault)
         node_ids = np.arange(8)
         oracle = predictor.predict(node_ids)
         config = ServingConfig(
@@ -210,4 +210,4 @@ class TestServingUnderFaults:
             assert stats.requests_failed == 1
             assert stats.requests_completed == 1
         finally:
-            store.use_transport(LocalTransport(store.shards))
+            store._set_transport(LocalTransport(store.shards))

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import ShardConfig
 from repro.exceptions import ConfigurationError
+from repro.serving import ClusterBuilder
 from repro.serving.clock import FakeClock
 from repro.shard import ShardedPredictor
 from repro.transport import (
     OP_FEATURES,
-    LocalTransport,
     ReplicatedTransport,
     ShardTransport,
 )
@@ -137,17 +136,15 @@ class TestLatencyRouting:
         self, small_deployment
     ):
         graph, features, predictor = small_deployment
-        config = ShardConfig(num_shards=2, strategy="degree_balanced")
 
         def sharded(route_by):
-            out = ShardedPredictor.from_predictor(predictor).prepare(
-                graph, features, config
+            return (
+                ClusterBuilder(ShardedPredictor.from_predictor(predictor))
+                .graph(graph, features)
+                .shards(2, strategy="degree_balanced")
+                .replicated(2, route_by=route_by)
+                .build_predictor()
             )
-            out.store.use_replicated_transport(
-                [LocalTransport(out.store.shards) for _ in range(2)],
-                route_by=route_by,
-            )
-            return out
 
         rng = np.random.default_rng(3)
         nodes = rng.choice(graph.num_nodes, size=48, replace=False)

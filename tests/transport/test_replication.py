@@ -126,11 +126,11 @@ class TestReplicatedTransport:
         store = sharded.store
         targets = np.arange(14)
         oracle = store.build_support_bundle(targets, 3)
-        store.use_transport(ReplicatedTransport(_fault_rails(store.shards, 2)))
+        store._set_transport(ReplicatedTransport(_fault_rails(store.shards, 2)))
         try:
             mine = store.build_support_bundle(targets, 3)
         finally:
-            store.use_transport(LocalTransport(store.shards))
+            store._set_transport(LocalTransport(store.shards))
         np.testing.assert_array_equal(mine.indptr, oracle.indptr)
         np.testing.assert_array_equal(mine.indices, oracle.indices)
         np.testing.assert_array_equal(mine.data, oracle.data)
@@ -141,14 +141,14 @@ class TestReplicatedTransport:
 
     def test_least_loaded_routing_spreads_rows_across_rails(self, sharded):
         store = sharded.store
-        store.use_transport(ReplicatedTransport(_fault_rails(store.shards, 2)))
+        store._set_transport(ReplicatedTransport(_fault_rails(store.shards, 2)))
         try:
             transport = store.transport
             for start in range(0, 60, 12):
                 store.build_support_bundle(np.arange(start, start + 12), 2)
             health = transport.describe()
         finally:
-            store.use_transport(LocalTransport(store.shards))
+            store._set_transport(LocalTransport(store.shards))
         for shard_id, endpoints in health["shards"].items():
             served = [endpoint["rows_served"] for endpoint in endpoints]
             assert all(count > 0 for count in served), (
@@ -161,7 +161,7 @@ class TestReplicatedTransport:
         # Rail 0 loses shard 0 permanently; every request must fail over.
         rails[0].schedule_kill(0, 0, replica_index=0)
         clock = FakeClock()
-        store.use_transport(
+        store._set_transport(
             ReplicatedTransport(
                 rails, retry_policy=RetryPolicy(max_attempts=2), clock=clock
             )
@@ -172,7 +172,7 @@ class TestReplicatedTransport:
             health = transport.describe()
             stats = transport.stats.as_dict()
         finally:
-            store.use_transport(LocalTransport(store.shards))
+            store._set_transport(LocalTransport(store.shards))
         assert oracle_free.num_local > 0
         assert stats["failovers"] > 0
         assert stats["retries"] > 0  # retryable kill consumed the budget first
@@ -189,14 +189,14 @@ class TestReplicatedTransport:
         rails = _fault_rails(store.shards, 2)
         rails[0].schedule_kill(1, 0, replica_index=0)
         rails[1].schedule_kill(1, 0, replica_index=1)
-        store.use_transport(
+        store._set_transport(
             ReplicatedTransport(rails, retry_policy=NO_RETRY, clock=FakeClock())
         )
         try:
             with pytest.raises(TransportError, match="all 2 replica") as info:
                 store.build_support_bundle(np.arange(20), 3)
         finally:
-            store.use_transport(LocalTransport(store.shards))
+            store._set_transport(LocalTransport(store.shards))
         assert info.value.retryable is False
         assert info.value.shard_id == 1
 
@@ -205,7 +205,7 @@ class TestReplicatedTransport:
         rails = _fault_rails(store.shards, 2)
         # Rail 0's shard 0 dies on its first two rounds, then heals.
         rails[0].schedule_kill(0, 0, 2, replica_index=0)
-        store.use_transport(
+        store._set_transport(
             ReplicatedTransport(
                 rails,
                 retry_policy=NO_RETRY,
@@ -219,7 +219,7 @@ class TestReplicatedTransport:
                 store.build_support_bundle(np.arange(start, start + 8), 2)
             health = transport.describe()
         finally:
-            store.use_transport(LocalTransport(store.shards))
+            store._set_transport(LocalTransport(store.shards))
         shard0 = {e["rail"]: e for e in health["shards"][0]}
         assert shard0[0]["healthy"] is True  # probed and healed
         assert shard0[0]["rows_served"] > 0

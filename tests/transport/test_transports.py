@@ -287,9 +287,9 @@ class TestFaultInjectingTransport:
 
 
 class TestStoreTransportPlumbing:
-    def test_use_transport_validates_shard_count(self, store):
+    def test_set_transport_validates_shard_count(self, store):
         with pytest.raises(GraphConstructionError):
-            store.use_transport(LocalTransport(store.shards[:1]))
+            store._set_transport(LocalTransport(store.shards[:1]))
 
     def test_fetch_degrees_matches_owner_slices(self, store):
         node_ids = np.arange(0, store.num_nodes, 3)

@@ -154,13 +154,13 @@ class TestMidFrameKillFailover:
         transport = ReplicatedTransport(
             [rail0, rail1], retry_policy=NO_RETRY, clock=FakeClock()
         )
-        store.use_transport(transport)
+        store._set_transport(transport)
         try:
             bundle = store.build_support_bundle(targets, 3)
             health = transport.describe()
             stats = transport.stats.as_dict()
         finally:
-            store.use_transport(LocalTransport(store.shards))
+            store._set_transport(LocalTransport(store.shards))
             rail0.disconnect()
             real.stop()
             rogue.stop()
@@ -191,12 +191,12 @@ class TestMidFrameKillFailover:
         transport = SocketTransport(
             [rogue.address, real.address], timeout_seconds=10.0
         )
-        store.use_transport(transport)
+        store._set_transport(transport)
         try:
             with pytest.raises(TransportError) as info:
                 store.build_support_bundle(np.arange(24), 3)
         finally:
-            store.use_transport(LocalTransport(store.shards))
+            store._set_transport(LocalTransport(store.shards))
             transport.disconnect()
             real.stop()
             rogue.stop()
