@@ -42,7 +42,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_serving.py            # full run
     PYTHONPATH=src python benchmarks/bench_serving.py --quick    # smoke run
-    PYTHONPATH=src python benchmarks/bench_serving.py --sweep-run-dispatch
     PYTHONPATH=src python benchmarks/bench_serving.py --suites adaptive
 
 The ``--quick`` mode is wired into tier-1 as the ``serving_bench`` pytest
@@ -486,35 +485,11 @@ def run_adaptive_suite(
     }
 
 
-def sweep_run_dispatch(context: TrainedContext, dataset_name: str) -> list[dict]:
-    """Sweep ``NAIConfig.run_dispatch_threshold`` (ROADMAP tunable)."""
-    records = []
-    test_idx = np.asarray(context.dataset.split.test_idx)
-    for threshold in (0, 2, 8, 32, 128):
-        config = context.nai_config(threshold_quantile=0.5).with_updates(
-            run_dispatch_threshold=threshold
-        )
-        predictor = context.nai.build_predictor(policy="distance", config=config)
-        predictor.prepare(context.dataset.graph, context.dataset.features)
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            result = predictor.predict(test_idx)
-            best = min(best, time.perf_counter() - start)
-        records.append({
-            "dataset": dataset_name,
-            "run_dispatch_threshold": threshold,
-            "wall_seconds": best,
-            "propagation_seconds": result.timings.propagation,
-        })
-    return records
-
-
 ALL_SUITES = ("streaming", "online", "scaling", "adaptive")
 
 
 def run_bench(
-    *, quick: bool = False, sweep: bool = False,
+    *, quick: bool = False,
     suites_selected: tuple[str, ...] = ALL_SUITES,
 ) -> dict:
     profile = QUICK_PROFILE if quick else FULL_PROFILE
@@ -526,7 +501,6 @@ def run_bench(
     num_requests = 30 if quick else 120
 
     suites: list[dict] = []
-    sweeps: list[dict] = []
     # The virtual-time ramp depends only on the scripted scenario (not on
     # any dataset), so it is computed exactly once per run.
     virtual_ramp = (
@@ -578,8 +552,6 @@ def run_bench(
                 "adaptive overload "
                 f"{virtual_ramp['overload_speedup']:.2f}x"
             )
-        if sweep:
-            sweeps.extend(sweep_run_dispatch(context, dataset_name))
         print(" | ".join(headline))
 
     streaming_records = [s for s in suites if s["suite"] == "streaming"]
@@ -638,7 +610,6 @@ def run_bench(
         },
         "suites": suites,
         "virtual_ramp": virtual_ramp,
-        "run_dispatch_sweep": sweeps,
         "aggregate": aggregate,
     }
 
@@ -648,10 +619,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick", action="store_true",
         help="small deterministic smoke run (used by the tier-1 marker test)",
-    )
-    parser.add_argument(
-        "--sweep-run-dispatch", action="store_true",
-        help="also sweep NAIConfig.run_dispatch_threshold (ROADMAP tunable)",
     )
     parser.add_argument(
         "--suites", default=",".join(ALL_SUITES),
@@ -672,8 +639,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown suites: {sorted(unknown)}")
 
     report = run_bench(
-        quick=args.quick, sweep=args.sweep_run_dispatch,
-        suites_selected=suites_selected,
+        quick=args.quick, suites_selected=suites_selected,
     )
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     aggregate = report["aggregate"]

@@ -1,23 +1,17 @@
-"""Transport benchmark: backend equivalence, socket overhead, pipelining.
+"""Transport benchmark: backend equivalence and socket overhead.
 
-Two record types, written to ``BENCH_transport.json``:
+One record type, written to ``BENCH_transport.json``:
 
 ``transport_equivalence``
     For every (dataset, shard count): run the full test set through
     :class:`~repro.shard.ShardedPredictor` over each transport backend —
-    in-process ``local``, TCP ``socket`` (pipelined), ``socket_nopipe``
-    (send→receive per shard) and ``fault_wrapped`` (the fault-injecting
-    wrapper in pass-through mode with request reordering on) — and
-    **assert bit-identical predictions, exit depths and MAC totals**
-    against the unsharded ``NAIPredictor``.  Each backend records its wall
-    clock, its overhead versus the local backend, and its round/byte
-    counters (the socket backends additionally report framed wire bytes).
-
-``pipelining``
-    The socket backend's pipelined vs sequential round trips, distilled
-    from the equivalence runs: same rounds, same bytes, wall-clock ratio.
-    On loopback the round trip is cheap, so the ratio understates what a
-    real network would show — the byte/round counts are the durable part.
+    in-process ``local``, TCP ``socket`` (pipelined rounds) and
+    ``fault_wrapped`` (the fault-injecting wrapper in pass-through mode
+    with request reordering on) — and **assert bit-identical predictions,
+    exit depths and MAC totals** against the unsharded ``NAIPredictor``.
+    Each backend records its wall clock, its overhead versus the local
+    backend, and its round/byte counters (the socket backend additionally
+    reports framed wire bytes).
 
 Usage::
 
@@ -112,7 +106,6 @@ def run_equivalence_suite(
             backends = {
                 "local": LocalTransport(store.shards),
                 "socket": group.connect(),
-                "socket_nopipe": group.connect(pipeline=False),
                 "fault_wrapped": FaultInjectingTransport(
                     LocalTransport(store.shards), reorder=True
                 ),
@@ -159,28 +152,6 @@ def run_equivalence_suite(
     return records
 
 
-def distill_pipelining_records(equivalence: list[dict]) -> list[dict]:
-    records = []
-    for record in equivalence:
-        pipe = record["backends"]["socket"]
-        nopipe = record["backends"]["socket_nopipe"]
-        records.append({
-            "suite": "pipelining",
-            "dataset": record["dataset"],
-            "num_shards": record["num_shards"],
-            "rounds": pipe["transport"]["rounds"],
-            "wire_bytes": pipe["wire_bytes_sent"] + pipe["wire_bytes_received"],
-            "pipelined_wall_seconds": pipe["wall_seconds"],
-            "sequential_wall_seconds": nopipe["wall_seconds"],
-            "pipelining_speedup": (
-                nopipe["wall_seconds"] / pipe["wall_seconds"]
-                if pipe["wall_seconds"]
-                else 0.0
-            ),
-        })
-    return records
-
-
 def run_bench(*, quick: bool = False) -> dict:
     profile = QUICK_PROFILE if quick else FULL_PROFILE
     datasets = QUICK_DATASETS if quick else FULL_DATASETS
@@ -192,41 +163,25 @@ def run_bench(*, quick: bool = False) -> dict:
         equivalence = run_equivalence_suite(
             context, dataset_name, batch_size=batch_size
         )
-        pipelining = distill_pipelining_records(equivalence)
         suites.extend(equivalence)
-        suites.extend(pipelining)
         worst = max(
             equivalence,
             key=lambda r: r["backends"]["socket"]["overhead_vs_local"],
         )
         print(
             f"{dataset_name:12s} bit-identical across "
-            f"{len(equivalence)} shardings x 4 backends | socket overhead "
+            f"{len(equivalence)} shardings x 3 backends | socket overhead "
             f"up to x{worst['backends']['socket']['overhead_vs_local']:.2f} "
-            f"(x{worst['num_shards']} shards) | pipelining "
-            f"x{pipelining[-1]['pipelining_speedup']:.2f} at x4"
+            f"(x{worst['num_shards']} shards)"
         )
 
-    equivalence_records = [
-        s for s in suites if s["suite"] == "transport_equivalence"
-    ]
-    pipelining_records = [s for s in suites if s["suite"] == "pipelining"]
     aggregate = {
         "shard_counts": list(SHARD_COUNTS),
-        "backends": ["local", "socket", "socket_nopipe", "fault_wrapped"],
-        "all_predictions_equal": all(
-            s["predictions_equal"] for s in equivalence_records
-        ),
-        "all_macs_equal": all(s["macs_equal"] for s in equivalence_records),
+        "backends": ["local", "socket", "fault_wrapped"],
+        "all_predictions_equal": all(s["predictions_equal"] for s in suites),
+        "all_macs_equal": all(s["macs_equal"] for s in suites),
         "max_socket_overhead_vs_local": max(
-            s["backends"]["socket"]["overhead_vs_local"]
-            for s in equivalence_records
-        ),
-        "min_pipelining_speedup": min(
-            s["pipelining_speedup"] for s in pipelining_records
-        ),
-        "max_pipelining_speedup": max(
-            s["pipelining_speedup"] for s in pipelining_records
+            s["backends"]["socket"]["overhead_vs_local"] for s in suites
         ),
     }
     return {
@@ -262,9 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"aggregate: bit-identical {aggregate['all_predictions_equal']}, "
         f"MACs equal {aggregate['all_macs_equal']}, socket overhead "
-        f"<= x{aggregate['max_socket_overhead_vs_local']:.2f}, pipelining "
-        f"x{aggregate['min_pipelining_speedup']:.2f}-"
-        f"x{aggregate['max_pipelining_speedup']:.2f}"
+        f"<= x{aggregate['max_socket_overhead_vs_local']:.2f}"
     )
     print(f"wrote {args.output}")
     return 0

@@ -103,14 +103,9 @@ class NAIConfig:
         ``"fused"`` (default) runs the zero-copy masked-SpMM engine with
         hop-indexed support pruning; ``"reference"`` keeps the naive
         per-depth submatrix implementation, retained as the equivalence and
-        benchmarking baseline.
-    run_dispatch_threshold:
-        Run-count crossover of the fused engine's masked SpMM: row masks
-        with at most this many contiguous runs use zero-copy per-run kernel
-        dispatch, more fragmented masks compact their rows first
-        (:func:`repro.graph.kernels.auto_masked_spmm`).  The best value
-        depends on nnz-per-run and feature width; ``benchmarks/
-        bench_serving.py`` can sweep it.
+        benchmarking baseline.  The fused engine's masked SpMM picks
+        zero-copy per-run dispatch or row compaction by the mask's run
+        count (:func:`repro.graph.kernels.auto_masked_spmm`).
     """
 
     t_min: int = 1
@@ -119,7 +114,6 @@ class NAIConfig:
     batch_size: int = 500
     dtype: str = "float32"
     engine: str = "fused"
-    run_dispatch_threshold: int = 8
 
     def __post_init__(self) -> None:
         if self.t_min < 1:
@@ -139,11 +133,6 @@ class NAIConfig:
         if self.engine not in ("fused", "reference"):
             raise ConfigurationError(
                 f"engine must be 'fused' or 'reference', got {self.engine!r}"
-            )
-        if self.run_dispatch_threshold < 0:
-            raise ConfigurationError(
-                f"run_dispatch_threshold must be non-negative, got "
-                f"{self.run_dispatch_threshold}"
             )
 
     @property
@@ -236,9 +225,6 @@ class ServingConfig:
         computed work in :class:`~repro.serving.ServingStatsSnapshot`
         (``macs`` vs ``replayed_macs``), keeping the computed-MAC numbers
         honest.
-    latency_sample_cap:
-        Maximum number of per-request latency samples retained for the
-        percentile statistics (oldest samples are dropped first).
     prefetch_depth:
         Number of fetcher threads — and of support fetches outstanding — in
         the asynchronous prefetch pipeline
@@ -286,7 +272,6 @@ class ServingConfig:
     overflow_policy: str = "block"
     cache_capacity: int = 64
     result_cache_capacity: int = 0
-    latency_sample_cap: int = 100_000
     prefetch_depth: int = 0
     wave_width: int = 1
     cache_subset_lookups: bool = False
@@ -363,10 +348,6 @@ class ServingConfig:
             raise ConfigurationError(
                 f"result_cache_capacity must be non-negative, got "
                 f"{self.result_cache_capacity}"
-            )
-        if self.latency_sample_cap < 1:
-            raise ConfigurationError(
-                f"latency_sample_cap must be positive, got {self.latency_sample_cap}"
             )
         if self.prefetch_depth < 0:
             raise ConfigurationError(

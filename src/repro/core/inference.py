@@ -404,7 +404,6 @@ class BatchEngine:
             else:
                 nnz = auto_masked_spmm(
                     indptr, indices, data, source, scratch, dist <= hop_budget,
-                    max_zero_copy_runs=cfg.run_dispatch_threshold,
                     assume_bounded=True,
                 )
             current, scratch = scratch, current

@@ -168,7 +168,6 @@ class NAI:
         batch_size: int = 500,
         dtype: str = "float32",
         engine: str = "fused",
-        run_dispatch_threshold: int = 8,
     ) -> NAIConfig:
         """Build an :class:`NAIConfig` validated against the backbone depth.
 
@@ -185,7 +184,6 @@ class NAI:
             batch_size=batch_size,
             dtype=dtype,
             engine=engine,
-            run_dispatch_threshold=run_dispatch_threshold,
         )
         return config.validated_against_depth(self.backbone.depth)
 

@@ -214,8 +214,7 @@ def gathered_row_spmm(
 
 #: Above this many contiguous runs, per-run kernel dispatch overhead exceeds
 #: the extra gather pass of :func:`gathered_row_spmm`.  The crossover depends
-#: on nnz-per-run and feature width; ``NAIConfig.run_dispatch_threshold``
-#: exposes it as a tunable so benchmarks can sweep it.
+#: on nnz-per-run and feature width; the fused engine uses this default.
 _MAX_ZERO_COPY_RUNS = 8
 
 

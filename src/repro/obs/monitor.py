@@ -393,8 +393,6 @@ class HealthMonitor:
 
     def _tick_locked(self) -> FleetHealth:
         now = self.clock.now()
-        # Samples before interval_stats: the latter resets the windows.
-        samples_by_shard = self.router.interval_latency_samples()
         intervals = self.router.interval_stats()
         snapshot = self.router.stats()
         traffic = self.router.traffic()
@@ -413,7 +411,7 @@ class HealthMonitor:
             windows.failures.add(interval.requests_failed)
             windows.nodes.add(interval.nodes_completed)
             windows.queue_depth.observe(float(interval.queue_depth))
-            for sample in samples_by_shard.get(shard_id, ()):
+            for sample in interval.latency_samples:
                 windows.latency.observe(sample)
                 self._fleet_latency.observe(sample)
                 interval_samples.append(sample)

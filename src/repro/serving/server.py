@@ -154,7 +154,7 @@ class InferenceServer:
         # policy/classifier state the attribution replay reads.
         needs_sampler = self.cache is not None or self.config.wave_width > 1
         self._sampler = predictor.make_engine() if needs_sampler else None
-        self._stats = ServingStats(self.config.latency_sample_cap, clock=self.clock)
+        self._stats = ServingStats(clock=self.clock)
         # prefetch_depth > 0: cache misses are resolved by background fetchers,
         # so unit N+1's transport rounds overlap unit N's compute; the busy
         # tracker measures that overlap.
@@ -284,18 +284,12 @@ class InferenceServer:
         """Current throughput/latency/cache/queue statistics."""
         return self._stats.snapshot(**self._gauges())
 
-    def interval_latency_samples(self) -> tuple[float, ...]:
-        """Raw request latencies of the current interval window.
-
-        Non-destructive; :meth:`interval_stats` (default ``reset``) consumes it.
-        """
-        return self._stats.interval_latency_samples()
-
     def interval_stats(self, *, reset: bool = True) -> ServingStatsSnapshot:
         """Statistics since the last interval reset (then reset by default).
 
-        Counters and summaries cover only the interval window; the queue/cache
-        gauges are the same instantaneous levels as :meth:`stats`.
+        Counters, summaries and the raw ``latency_samples`` cover only the
+        interval window; the queue/cache gauges are the same instantaneous
+        levels as :meth:`stats`.
         """
         return self._stats.interval_snapshot(reset=reset, **self._gauges())
 

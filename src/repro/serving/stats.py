@@ -1,8 +1,11 @@
 """Observability surface of the serving subsystem.
 
 :class:`ServingStats` accumulates per-request latencies, per-worker
-MAC/timing breakdowns and batch/cache/queue counters as responses complete;
-:meth:`ServingStats.snapshot` renders them into an immutable
+MAC/timing breakdowns and batch/cache/queue counters as responses complete,
+folding each completion into two tallies of the same shape: a cumulative
+one and an interval one that the monitor consumes tick by tick.
+:meth:`ServingStats.snapshot` and :meth:`ServingStats.interval_snapshot`
+render them through one renderer into an immutable
 :class:`ServingStatsSnapshot` with the numbers an operator watches: nodes/s
 throughput, p50/p95/p99 latency, cache hit rate, queue depth and
 backpressure counts.
@@ -15,9 +18,10 @@ work as ``NAIPredictor.predict`` — see ``tests/core/test_breakdowns.py``.
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..core.inference import MACBreakdown, TimingBreakdown
 from ..metrics.timing import LatencySummary, latency_summary
@@ -106,160 +110,190 @@ class ServingStatsSnapshot:
     #: merge needs them to recompute the ratio exactly across shards.
     wave_shared_row_macs: float = 0.0
     wave_total_row_macs: float = 0.0
+    #: Raw per-request latencies of an *interval* snapshot (empty on the
+    #: cumulative one), captured in the same lock hold as its counters so
+    #: the monitor never counts a request whose latency it did not see.
+    latency_samples: tuple[float, ...] = ()
 
     def as_dict(self) -> dict:
-        """JSON-ready dictionary (used by the serving benchmark report)."""
-        return {
-            "requests_completed": self.requests_completed,
-            "requests_failed": self.requests_failed,
-            "requests_rejected": self.requests_rejected,
-            "requests_shed": self.requests_shed,
-            "nodes_completed": self.nodes_completed,
-            "batches_dispatched": self.batches_dispatched,
-            "avg_batch_nodes": self.avg_batch_nodes,
-            "avg_batch_requests": self.avg_batch_requests,
-            "batch_width_p50": self.batch_width_p50,
-            "batch_width_p95": self.batch_width_p95,
-            "batch_policy": self.batch_policy,
-            "controller_adjustments": self.controller_adjustments,
-            "throughput_nodes_per_second": self.throughput_nodes_per_second,
-            "latency_ms": self.latency.scaled(1e3).as_dict(),
-            "queue_wait_ms": self.queue_wait.scaled(1e3).as_dict(),
-            "queue_depth": self.queue_depth,
-            "queue_max_depth": self.queue_max_depth,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "cache_entries": self.cache_entries,
-            "sampling_seconds": self.timings.sampling,
-            "total_seconds": self.timings.total,
-            "requests_replayed": self.requests_replayed,
-            "nodes_replayed": self.nodes_replayed,
-            "batches_replayed": self.batches_replayed,
-            "computed_macs": self.macs.total,
-            "replayed_macs": self.replayed_macs.total,
-            "result_cache_hits": self.result_cache_hits,
-            "result_cache_misses": self.result_cache_misses,
-            "result_cache_hit_rate": self.result_cache_hit_rate,
-            "result_cache_entries": self.result_cache_entries,
-            "prefetch_issued": self.prefetch_issued,
-            "prefetch_completed": self.prefetch_completed,
-            "prefetch_cancelled": self.prefetch_cancelled,
-            "prefetch_hits": self.prefetch_hits,
-            "prefetch_fetch_seconds": self.prefetch_fetch_seconds,
-            "prefetch_overlap_seconds": self.prefetch_overlap_seconds,
-            "waves_dispatched": self.waves_dispatched,
-            "wave_members": self.wave_members,
-            "wave_width_p50": self.wave_width_p50,
-            "wave_width_p95": self.wave_width_p95,
-            "shared_row_fraction": self.shared_row_fraction,
-            "cache_subset_hits": self.cache_subset_hits,
-            "macs_per_request": self.macs_per_request,
-            "wave_shared_row_macs": self.wave_shared_row_macs,
-            "wave_total_row_macs": self.wave_total_row_macs,
-            "per_worker": {
+        """JSON-ready dictionary (used by the serving benchmark report).
+
+        Every scalar field under its own name, plus the structured ones
+        flattened to the keys below; the raw samples are not exported.
+        """
+        out = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in _STRUCTURED_FIELDS
+        }
+        out.update(
+            latency_ms=self.latency.scaled(1e3).as_dict(),
+            queue_wait_ms=self.queue_wait.scaled(1e3).as_dict(),
+            sampling_seconds=self.timings.sampling,
+            total_seconds=self.timings.total,
+            computed_macs=self.macs.total,
+            replayed_macs=self.replayed_macs.total,
+            per_worker={
                 str(worker): {"batches": stats.batches, "nodes": stats.nodes}
                 for worker, stats in sorted(self.per_worker.items())
             },
-        }
+        )
+        return out
 
 
-def _gauge_fields(
-    *,
-    queue_depth: int = 0,
-    queue_max_depth: int = 0,
-    requests_rejected: int = 0,
-    requests_shed: int = 0,
-    cache_hits: int = 0,
-    cache_misses: int = 0,
-    cache_entries: int = 0,
-    cache_subset_hits: int = 0,
-    result_cache_hits: int = 0,
-    result_cache_misses: int = 0,
-    result_cache_entries: int = 0,
-    batch_policy: str = "static",
-    controller_adjustments: int = 0,
-) -> dict:
+#: Snapshot fields ``as_dict`` flattens into other keys (or leaves out).
+_STRUCTURED_FIELDS = frozenset({
+    "latency", "queue_wait", "timings", "macs", "replayed_macs", "per_worker",
+    "latency_samples",
+})
+
+
+def ratio(numerator: float, denominator: float) -> float:
+    """``numerator / denominator``, or ``0.0`` for an empty denominator."""
+    return numerator / denominator if denominator > 0 else 0.0
+
+
+#: The instantaneous queue/cache levels both snapshots report, at their
+#: values for a server without a queue reading or cache.
+_GAUGE_DEFAULTS = dict(
+    queue_depth=0,
+    queue_max_depth=0,
+    requests_rejected=0,
+    requests_shed=0,
+    cache_hits=0,
+    cache_misses=0,
+    cache_entries=0,
+    cache_subset_hits=0,
+    result_cache_hits=0,
+    result_cache_misses=0,
+    result_cache_entries=0,
+    batch_policy="static",
+    controller_adjustments=0,
+)
+
+
+def _gauge_fields(**gauges) -> dict:
     """Snapshot fields for the instantaneous queue/cache levels.
 
     The one place the gauges are named, so the cumulative and the interval
     snapshot cannot drift apart on which of them they report.
     """
-    lookups = cache_hits + cache_misses
-    result_lookups = result_cache_hits + result_cache_misses
-    return dict(
-        queue_depth=queue_depth,
-        queue_max_depth=queue_max_depth,
-        requests_rejected=requests_rejected,
-        requests_shed=requests_shed,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
-        cache_hit_rate=cache_hits / lookups if lookups else 0.0,
-        cache_entries=cache_entries,
-        cache_subset_hits=cache_subset_hits,
-        result_cache_hits=result_cache_hits,
-        result_cache_misses=result_cache_misses,
-        result_cache_hit_rate=result_cache_hits / result_lookups if result_lookups else 0.0,
-        result_cache_entries=result_cache_entries,
-        batch_policy=batch_policy,
-        controller_adjustments=controller_adjustments,
+    out = {**_GAUGE_DEFAULTS, **gauges}
+    out["cache_hit_rate"] = ratio(out["cache_hits"], out["cache_hits"] + out["cache_misses"])
+    out["result_cache_hit_rate"] = ratio(
+        out["result_cache_hits"], out["result_cache_hits"] + out["result_cache_misses"]
     )
+    return out
+
+
+#: Samples (latencies, queue waits, batch and wave widths) the cumulative
+#: snapshot summarises: the most recent ones; its counters stay exact.
+LATENCY_SAMPLE_CAP = 100_000
+
+
+class _Tally:
+    """Counters, breakdowns and sample buffers of one stats window.
+
+    :class:`ServingStats` folds every completion into two of these: the
+    cumulative tally (capped sample deques) and the interval tally (plain
+    lists), which :meth:`ServingStats.reset_window` swaps for a fresh one.
+    """
+
+    def __init__(self, opened: float, new_buffer=list) -> None:
+        self.opened = opened
+        self.latencies = new_buffer()
+        self.queue_waits = new_buffer()
+        self.batch_widths = new_buffer()
+        self.macs = MACBreakdown()
+        self.replayed_macs = MACBreakdown()
+        self.timings = TimingBreakdown()
+        self.requests_completed = 0
+        self.requests_failed = 0
+        self.nodes_completed = 0
+        self.batches_dispatched = 0
+        self.batch_requests = 0
+        self.requests_replayed = 0
+        self.nodes_replayed = 0
+        self.batches_replayed = 0
+
+    def add_batch(self, num_nodes, num_requests, macs, timings, latencies, queue_waits):
+        self.macs = self.macs.merged_with(macs)
+        self.timings = self.timings.merged_with(timings)
+        self.batches_dispatched += 1
+        self.batch_requests += num_requests
+        self._complete(num_nodes, num_requests, latencies, queue_waits)
+
+    def add_replay(self, num_nodes, num_requests, macs, latencies, queue_waits):
+        self.replayed_macs = self.replayed_macs.merged_with(macs)
+        self.batches_replayed += 1
+        self.requests_replayed += num_requests
+        self.nodes_replayed += num_nodes
+        self._complete(num_nodes, num_requests, latencies, queue_waits)
+
+    def _complete(self, num_nodes, num_requests, latencies, queue_waits):
+        self.requests_completed += num_requests
+        self.nodes_completed += num_nodes
+        # A replayed batch was still *formed* by the batcher — its width
+        # belongs in the controller's batch-width distribution.
+        self.batch_widths.append(num_nodes)
+        self.latencies.extend(latencies)
+        self.queue_waits.extend(queue_waits)
+
+    def render(self, throughput: float, gauges: dict, **extras) -> ServingStatsSnapshot:
+        """The snapshot of this window; ``extras`` are window-specific fields."""
+        batches = self.batches_dispatched
+        widths = latency_summary(self.batch_widths)
+        return ServingStatsSnapshot(
+            **_gauge_fields(**gauges),
+            requests_completed=self.requests_completed,
+            requests_failed=self.requests_failed,
+            nodes_completed=self.nodes_completed,
+            batches_dispatched=batches,
+            avg_batch_nodes=ratio(self.nodes_completed, batches),
+            avg_batch_requests=ratio(self.batch_requests, batches),
+            batch_width_p50=widths.p50,
+            batch_width_p95=widths.p95,
+            throughput_nodes_per_second=throughput,
+            latency=latency_summary(self.latencies),
+            queue_wait=latency_summary(self.queue_waits),
+            macs=self.macs.merged_with(MACBreakdown()),
+            timings=self.timings.merged_with(TimingBreakdown()),
+            requests_replayed=self.requests_replayed,
+            nodes_replayed=self.nodes_replayed,
+            batches_replayed=self.batches_replayed,
+            replayed_macs=self.replayed_macs.merged_with(MACBreakdown()),
+            **extras,
+        )
 
 
 class ServingStats:
     """Mutable, thread-safe accumulator behind the snapshot surface."""
 
-    def __init__(
-        self, latency_sample_cap: int = 100_000, *, clock: Clock | None = None
-    ) -> None:
+    def __init__(self, *, clock: Clock | None = None) -> None:
         self.clock = clock if clock is not None else MONOTONIC_CLOCK
         self._lock = threading.Lock()
-        self._latencies: deque[float] = deque(maxlen=latency_sample_cap)
-        self._queue_waits: deque[float] = deque(maxlen=latency_sample_cap)
-        self._batch_widths: deque[int] = deque(maxlen=latency_sample_cap)
+        now = self.clock.now()
+        self._total = _Tally(now, lambda: deque(maxlen=LATENCY_SAMPLE_CAP))
+        self._window = _Tally(now)
         self._per_worker: dict[int, WorkerStats] = {}
-        self._macs = MACBreakdown()
-        self._timings = TimingBreakdown()
-        self.requests_completed = 0
-        self.requests_failed = 0
-        self.nodes_completed = 0
-        self.batches_dispatched = 0
-        self.batch_requests_total = 0
-        self.requests_replayed = 0
-        self.nodes_replayed = 0
-        self.batches_replayed = 0
-        self._replayed_macs = MACBreakdown()
-        self.prefetch_issued = 0
-        self.prefetch_completed = 0
-        self.prefetch_cancelled = 0
-        self.prefetch_hits = 0
-        self._prefetch_fetch_seconds = 0.0
-        self._prefetch_overlap_seconds = 0.0
-        self.waves_dispatched = 0
-        self.wave_members = 0
-        self._wave_widths: deque[int] = deque(maxlen=latency_sample_cap)
-        self._wave_shared_row_macs = 0.0
-        self._wave_total_row_macs = 0.0
+        # Cumulative-only counters, keyed by their snapshot field names.
+        self._prefetch = dict(
+            prefetch_issued=0,
+            prefetch_completed=0,
+            prefetch_cancelled=0,
+            prefetch_hits=0,
+            prefetch_fetch_seconds=0.0,
+            prefetch_overlap_seconds=0.0,
+        )
+        self._waves = dict(
+            waves_dispatched=0,
+            wave_members=0,
+            wave_shared_row_macs=0.0,
+            wave_total_row_macs=0.0,
+        )
+        self._wave_widths: deque[int] = deque(maxlen=LATENCY_SAMPLE_CAP)
         self._first_activity: float | None = None
         self._last_activity: float | None = None
-        self._reset_window_locked(self.clock.now())
-
-    def _reset_window_locked(self, now: float) -> None:
-        self._win_opened = now
-        self._win_latencies: list[float] = []
-        self._win_queue_waits: list[float] = []
-        self._win_widths: list[int] = []
-        self._win_macs = MACBreakdown()
-        self._win_replayed_macs = MACBreakdown()
-        self._win_timings = TimingBreakdown()
-        self._win_requests_completed = 0
-        self._win_requests_failed = 0
-        self._win_nodes_completed = 0
-        self._win_batches_dispatched = 0
-        self._win_batch_requests = 0
-        self._win_requests_replayed = 0
-        self._win_nodes_replayed = 0
-        self._win_batches_replayed = 0
 
     def reset_window(self) -> None:
         """Open a fresh interval window (see :meth:`interval_snapshot`).
@@ -270,7 +304,7 @@ class ServingStats:
         """
         now = self.clock.now()
         with self._lock:
-            self._reset_window_locked(now)
+            self._window = _Tally(now)
 
     def mark_submission(self) -> None:
         """Open the throughput window at the first accepted request."""
@@ -278,6 +312,11 @@ class ServingStats:
         with self._lock:
             if self._first_activity is None:
                 self._first_activity = now
+
+    def _touch_locked(self, now: float) -> None:
+        if self._first_activity is None:
+            self._first_activity = now
+        self._last_activity = now
 
     def record_batch(
         self,
@@ -298,27 +337,11 @@ class ServingStats:
             worker.nodes += num_nodes
             worker.macs = worker.macs.merged_with(macs)
             worker.timings = worker.timings.merged_with(timings)
-            self._macs = self._macs.merged_with(macs)
-            self._timings = self._timings.merged_with(timings)
-            self.batches_dispatched += 1
-            self.batch_requests_total += num_requests
-            self.requests_completed += num_requests
-            self.nodes_completed += num_nodes
-            self._batch_widths.append(num_nodes)
-            self._latencies.extend(latencies)
-            self._queue_waits.extend(queue_waits)
-            self._win_macs = self._win_macs.merged_with(macs)
-            self._win_timings = self._win_timings.merged_with(timings)
-            self._win_batches_dispatched += 1
-            self._win_batch_requests += num_requests
-            self._win_requests_completed += num_requests
-            self._win_nodes_completed += num_nodes
-            self._win_widths.append(num_nodes)
-            self._win_latencies.extend(latencies)
-            self._win_queue_waits.extend(queue_waits)
-            if self._first_activity is None:
-                self._first_activity = now
-            self._last_activity = now
+            for tally in (self._total, self._window):
+                tally.add_batch(
+                    num_nodes, num_requests, macs, timings, latencies, queue_waits
+                )
+            self._touch_locked(now)
 
     def record_replayed_batch(
         self,
@@ -337,34 +360,14 @@ class ServingStats:
         """
         now = self.clock.now()
         with self._lock:
-            self.batches_replayed += 1
-            self.requests_replayed += num_requests
-            self.nodes_replayed += num_nodes
-            self.requests_completed += num_requests
-            self.nodes_completed += num_nodes
-            # A replayed batch was still *formed* by the batcher — its width
-            # belongs in the controller's batch-width distribution.
-            self._batch_widths.append(num_nodes)
-            self._replayed_macs = self._replayed_macs.merged_with(macs)
-            self._latencies.extend(latencies)
-            self._queue_waits.extend(queue_waits)
-            self._win_batches_replayed += 1
-            self._win_requests_replayed += num_requests
-            self._win_nodes_replayed += num_nodes
-            self._win_requests_completed += num_requests
-            self._win_nodes_completed += num_nodes
-            self._win_widths.append(num_nodes)
-            self._win_replayed_macs = self._win_replayed_macs.merged_with(macs)
-            self._win_latencies.extend(latencies)
-            self._win_queue_waits.extend(queue_waits)
-            if self._first_activity is None:
-                self._first_activity = now
-            self._last_activity = now
+            for tally in (self._total, self._window):
+                tally.add_replay(num_nodes, num_requests, macs, latencies, queue_waits)
+            self._touch_locked(now)
 
     def record_prefetch_issued(self) -> None:
         """Count one micro-batch handed to the prefetch pipeline."""
         with self._lock:
-            self.prefetch_issued += 1
+            self._prefetch["prefetch_issued"] += 1
 
     def record_prefetch_done(
         self, *, fetch_seconds: float, overlap_seconds: float
@@ -375,16 +378,17 @@ class ServingStats:
         the pipeline is an execution detail, not a per-tick load signal.
         """
         with self._lock:
-            self.prefetch_completed += 1
-            self._prefetch_fetch_seconds += fetch_seconds
-            self._prefetch_overlap_seconds += overlap_seconds
+            prefetch = self._prefetch
+            prefetch["prefetch_completed"] += 1
+            prefetch["prefetch_fetch_seconds"] += fetch_seconds
+            prefetch["prefetch_overlap_seconds"] += overlap_seconds
             if overlap_seconds > 0:
-                self.prefetch_hits += 1
+                prefetch["prefetch_hits"] += 1
 
     def record_prefetch_cancelled(self, count: int) -> None:
         """Count prefetches cancelled by pipeline shutdown."""
         with self._lock:
-            self.prefetch_cancelled += count
+            self._prefetch["prefetch_cancelled"] += count
 
     def record_wave(
         self, *, width: int, shared_row_macs: float, total_row_macs: float
@@ -398,137 +402,67 @@ class ServingStats:
         *grouped*.
         """
         with self._lock:
-            self.waves_dispatched += 1
-            self.wave_members += width
+            waves = self._waves
+            waves["waves_dispatched"] += 1
+            waves["wave_members"] += width
+            waves["wave_shared_row_macs"] += shared_row_macs
+            waves["wave_total_row_macs"] += total_row_macs
             self._wave_widths.append(width)
-            self._wave_shared_row_macs += shared_row_macs
-            self._wave_total_row_macs += total_row_macs
 
     def record_failure(self, num_requests: int) -> None:
         with self._lock:
-            self.requests_failed += num_requests
-            self._win_requests_failed += num_requests
+            self._total.requests_failed += num_requests
+            self._window.requests_failed += num_requests
             self._last_activity = self.clock.now()
-
-    def interval_latency_samples(self) -> tuple[float, ...]:
-        """Raw per-request latencies of the current interval window.
-
-        Non-destructive — pair with :meth:`interval_snapshot` (or
-        :meth:`reset_window`) to consume the interval.
-        """
-        with self._lock:
-            return tuple(self._win_latencies)
 
     def interval_snapshot(self, *, reset: bool = True, **gauges) -> ServingStatsSnapshot:
         """Render the window opened by the last :meth:`reset_window`.
 
         Counters, latency/queue-wait summaries and MAC totals cover only
-        the interval; throughput is interval nodes over interval wall time
-        (``now - window opened``), so an empty window reports zeros instead
-        of dividing by nothing.  ``reset=True`` (default) opens a fresh
-        window afterwards, making back-to-back calls a delta stream with no
-        external bookkeeping.  ``gauges`` are instantaneous levels, passed
-        through exactly as in :meth:`snapshot` (see :func:`_gauge_fields`).
+        the interval, and ``latency_samples`` carries its raw per-request
+        latencies — all read in one lock hold, so nothing recorded between
+        two reads can be counted without its samples.  Throughput is
+        interval nodes over interval wall time (``now - window opened``),
+        so an empty window reports zeros instead of dividing by nothing.
+        ``reset=True`` (default) opens a fresh window afterwards, making
+        back-to-back calls a delta stream with no external bookkeeping.
+        ``gauges`` are instantaneous levels, passed through exactly as in
+        :meth:`snapshot` (see :func:`_gauge_fields`).
         """
         now = self.clock.now()
         with self._lock:
-            window = max(now - self._win_opened, 0.0)
-            batches = self._win_batches_dispatched
-            width_summary = latency_summary(self._win_widths)
-            snapshot = ServingStatsSnapshot(
-                **_gauge_fields(**gauges),
-                requests_completed=self._win_requests_completed,
-                requests_failed=self._win_requests_failed,
-                nodes_completed=self._win_nodes_completed,
-                batches_dispatched=batches,
-                avg_batch_nodes=(
-                    self._win_nodes_completed / batches if batches else 0.0
-                ),
-                avg_batch_requests=(
-                    self._win_batch_requests / batches if batches else 0.0
-                ),
-                batch_width_p50=width_summary.p50,
-                batch_width_p95=width_summary.p95,
-                throughput_nodes_per_second=(
-                    self._win_nodes_completed / window if window > 0 else 0.0
-                ),
-                latency=latency_summary(self._win_latencies),
-                queue_wait=latency_summary(self._win_queue_waits),
-                macs=self._win_macs.merged_with(MACBreakdown()),
-                timings=self._win_timings.merged_with(TimingBreakdown()),
-                per_worker={},
-                requests_replayed=self._win_requests_replayed,
-                nodes_replayed=self._win_nodes_replayed,
-                batches_replayed=self._win_batches_replayed,
-                replayed_macs=self._win_replayed_macs.merged_with(MACBreakdown()),
-            )
+            window = self._window
             if reset:
-                self._reset_window_locked(now)
-            return snapshot
+                self._window = _Tally(now)
+            return window.render(
+                ratio(window.nodes_completed, now - window.opened),
+                gauges,
+                per_worker={},
+                latency_samples=tuple(window.latencies),
+            )
 
     def snapshot(self, **gauges) -> ServingStatsSnapshot:
         """Render the current counters (plus queue/cache ``gauges``) immutably."""
         with self._lock:
+            total = self._total
+            elapsed = 0.0
             if self._first_activity is not None and self._last_activity is not None:
-                window = self._last_activity - self._first_activity
-            else:
-                window = 0.0
-            throughput = self.nodes_completed / window if window > 0 else 0.0
-            batches = self.batches_dispatched
-            width_summary = latency_summary(self._batch_widths)
-            wave_width_summary = latency_summary(self._wave_widths)
-            computed_requests = self.requests_completed - self.requests_replayed
-            per_worker = {
-                worker: WorkerStats(
-                    batches=stats.batches,
-                    nodes=stats.nodes,
-                    macs=stats.macs.merged_with(MACBreakdown()),
-                    timings=stats.timings.merged_with(TimingBreakdown()),
-                )
-                for worker, stats in self._per_worker.items()
-            }
-            return ServingStatsSnapshot(
-                **_gauge_fields(**gauges),
-                requests_completed=self.requests_completed,
-                requests_failed=self.requests_failed,
-                nodes_completed=self.nodes_completed,
-                batches_dispatched=batches,
-                avg_batch_nodes=self.nodes_completed / batches if batches else 0.0,
-                avg_batch_requests=(
-                    self.batch_requests_total / batches if batches else 0.0
+                elapsed = self._last_activity - self._first_activity
+            wave_widths = latency_summary(self._wave_widths)
+            waves = self._waves
+            return total.render(
+                ratio(total.nodes_completed, elapsed),
+                gauges,
+                per_worker=copy.deepcopy(self._per_worker),
+                wave_width_p50=wave_widths.p50,
+                wave_width_p95=wave_widths.p95,
+                shared_row_fraction=ratio(
+                    waves["wave_shared_row_macs"], waves["wave_total_row_macs"]
                 ),
-                batch_width_p50=width_summary.p50,
-                batch_width_p95=width_summary.p95,
-                throughput_nodes_per_second=throughput,
-                latency=latency_summary(self._latencies),
-                queue_wait=latency_summary(self._queue_waits),
-                macs=self._macs.merged_with(MACBreakdown()),
-                timings=self._timings.merged_with(TimingBreakdown()),
-                per_worker=per_worker,
-                requests_replayed=self.requests_replayed,
-                nodes_replayed=self.nodes_replayed,
-                batches_replayed=self.batches_replayed,
-                replayed_macs=self._replayed_macs.merged_with(MACBreakdown()),
-                prefetch_issued=self.prefetch_issued,
-                prefetch_completed=self.prefetch_completed,
-                prefetch_cancelled=self.prefetch_cancelled,
-                prefetch_hits=self.prefetch_hits,
-                prefetch_fetch_seconds=self._prefetch_fetch_seconds,
-                prefetch_overlap_seconds=self._prefetch_overlap_seconds,
-                waves_dispatched=self.waves_dispatched,
-                wave_members=self.wave_members,
-                wave_width_p50=wave_width_summary.p50,
-                wave_width_p95=wave_width_summary.p95,
-                shared_row_fraction=(
-                    self._wave_shared_row_macs / self._wave_total_row_macs
-                    if self._wave_total_row_macs
-                    else 0.0
+                macs_per_request=ratio(
+                    total.macs.total,
+                    total.requests_completed - total.requests_replayed,
                 ),
-                macs_per_request=(
-                    self._macs.total / computed_requests
-                    if computed_requests > 0
-                    else 0.0
-                ),
-                wave_shared_row_macs=self._wave_shared_row_macs,
-                wave_total_row_macs=self._wave_total_row_macs,
+                **waves,
+                **self._prefetch,
             )

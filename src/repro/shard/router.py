@@ -460,17 +460,6 @@ class ShardRouter:
         publish_transport_traffic(self.registry, self.traffic())
         return snapshot
 
-    def interval_latency_samples(self) -> dict[int, tuple[float, ...]]:
-        """Per-shard raw request latencies of the current interval window.
-
-        Non-destructive; read these *before* :meth:`interval_stats` (which
-        resets the window by default).  Covers the active generation.
-        """
-        return {
-            shard_id: server.interval_latency_samples()
-            for shard_id, server in self._active.servers.items()
-        }
-
     def interval_stats(
         self, *, reset: bool = True
     ) -> dict[int, ServingStatsSnapshot]:
@@ -479,9 +468,10 @@ class ShardRouter:
         The windowed-delta surface behind
         :class:`~repro.obs.monitor.HealthMonitor`: each call returns what
         each active-generation server did since the previous call (with
-        ``reset=True``, the default).  During a rollout the freshly
-        installed generation starts with empty intervals; the draining
-        generation's tail is accounted in :meth:`rollout_state`, not here.
+        ``reset=True``, the default), raw ``latency_samples`` included.
+        During a rollout the freshly installed generation starts with empty
+        intervals; the draining generation's tail is accounted in
+        :meth:`rollout_state`, not here.
         """
         return {
             shard_id: server.interval_stats(reset=reset)

@@ -14,11 +14,12 @@ distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import reduce
 
 from ..core.inference import MACBreakdown, TimingBreakdown
 from ..metrics.timing import LatencySummary
-from ..serving.stats import ServingStatsSnapshot
+from ..serving.stats import ServingStatsSnapshot, ratio
 
 
 def merge_latency_summaries(summaries: list[LatencySummary]) -> LatencySummary:
@@ -94,104 +95,84 @@ class ShardedStatsSnapshot:
 
     @property
     def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
+        return ratio(self.cache_hits, self.cache_hits + self.cache_misses)
 
     def as_dict(self) -> dict:
-        return {
-            "num_shards": self.num_shards,
-            "requests_completed": self.requests_completed,
-            "requests_failed": self.requests_failed,
-            "requests_rejected": self.requests_rejected,
-            "requests_shed": self.requests_shed,
-            "requests_replayed": self.requests_replayed,
-            "nodes_completed": self.nodes_completed,
-            "batches_dispatched": self.batches_dispatched,
-            "batch_policy": self.batch_policy,
-            "controller_adjustments": self.controller_adjustments,
-            "batch_width_p50": self.batch_width_p50,
-            "batch_width_p95": self.batch_width_p95,
-            "computed_macs": self.macs.total,
-            "replayed_macs": self.replayed_macs.total,
-            "total_seconds": self.timings.total,
-            "latency_ms": self.latency.scaled(1e3).as_dict(),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "result_cache_hits": self.result_cache_hits,
-            "result_cache_misses": self.result_cache_misses,
-            "plan_version": self.plan_version,
-            "transport_retries": self.transport_retries,
-            "transport_failovers": self.transport_failovers,
-            "transport_health_transitions": self.transport_health_transitions,
-            "waves_dispatched": self.waves_dispatched,
-            "wave_members": self.wave_members,
-            "wave_width_p50": self.wave_width_p50,
-            "shared_row_fraction": self.shared_row_fraction,
-            "macs_per_request": self.macs_per_request,
-            "cache_subset_hits": self.cache_subset_hits,
-            "per_shard": {
+        out = {"num_shards": self.num_shards}
+        out.update(
+            (f.name, getattr(self, f.name))
+            for f in fields(self)
+            if f.name not in _STRUCTURED_FIELDS
+        )
+        out.update(
+            computed_macs=self.macs.total,
+            replayed_macs=self.replayed_macs.total,
+            total_seconds=self.timings.total,
+            latency_ms=self.latency.scaled(1e3).as_dict(),
+            cache_hit_rate=self.cache_hit_rate,
+            per_shard={
                 str(shard): snapshot.as_dict()
                 for shard, snapshot in sorted(self.per_shard.items())
             },
-        }
+        )
+        return out
+
+
+#: Snapshot fields ``as_dict`` flattens into other keys.
+_STRUCTURED_FIELDS = frozenset({"per_shard", "macs", "replayed_macs", "timings", "latency"})
+
+#: Counters the fleet view sums over its shards.
+SUMMED_FIELDS = (
+    "requests_completed",
+    "requests_failed",
+    "requests_rejected",
+    "requests_shed",
+    "requests_replayed",
+    "nodes_completed",
+    "batches_dispatched",
+    "controller_adjustments",
+    "cache_hits",
+    "cache_misses",
+    "result_cache_hits",
+    "result_cache_misses",
+    "waves_dispatched",
+    "wave_members",
+    "cache_subset_hits",
+)
+#: Width percentiles the fleet view reports as the worst shard's value.
+WORST_SHARD_FIELDS = ("batch_width_p50", "batch_width_p95", "wave_width_p50")
 
 
 def merge_serving_snapshots(
     snapshots: dict[int, ServingStatsSnapshot],
 ) -> ShardedStatsSnapshot:
     """Fold per-shard snapshots into one :class:`ShardedStatsSnapshot`."""
-    macs = MACBreakdown()
-    replayed = MACBreakdown()
-    timings = TimingBreakdown()
-    for snapshot in snapshots.values():
-        macs = macs.merged_with(snapshot.macs)
-        replayed = replayed.merged_with(snapshot.replayed_macs)
-        timings = timings.merged_with(snapshot.timings)
-    computed_requests = sum(
-        s.requests_completed - s.requests_replayed for s in snapshots.values()
-    )
-    shared_row_macs = sum(s.wave_shared_row_macs for s in snapshots.values())
-    total_row_macs = sum(s.wave_total_row_macs for s in snapshots.values())
+    shards = list(snapshots.values())
+
+    def total(name: str):
+        return sum(getattr(shard, name) for shard in shards)
+
+    macs = reduce(MACBreakdown.merged_with, (s.macs for s in shards), MACBreakdown())
     return ShardedStatsSnapshot(
         per_shard=dict(snapshots),
-        requests_completed=sum(s.requests_completed for s in snapshots.values()),
-        requests_failed=sum(s.requests_failed for s in snapshots.values()),
-        requests_rejected=sum(s.requests_rejected for s in snapshots.values()),
-        requests_shed=sum(s.requests_shed for s in snapshots.values()),
-        requests_replayed=sum(s.requests_replayed for s in snapshots.values()),
-        nodes_completed=sum(s.nodes_completed for s in snapshots.values()),
-        batches_dispatched=sum(s.batches_dispatched for s in snapshots.values()),
-        batch_policy=next(
-            (s.batch_policy for s in snapshots.values()), "static"
-        ),
-        controller_adjustments=sum(
-            s.controller_adjustments for s in snapshots.values()
-        ),
-        batch_width_p50=max(
-            (s.batch_width_p50 for s in snapshots.values()), default=0.0
-        ),
-        batch_width_p95=max(
-            (s.batch_width_p95 for s in snapshots.values()), default=0.0
-        ),
+        **{name: total(name) for name in SUMMED_FIELDS},
+        **{
+            name: max((getattr(s, name) for s in shards), default=0.0)
+            for name in WORST_SHARD_FIELDS
+        },
+        batch_policy=next((s.batch_policy for s in shards), "static"),
         macs=macs,
-        replayed_macs=replayed,
-        timings=timings,
-        latency=merge_latency_summaries([s.latency for s in snapshots.values()]),
-        cache_hits=sum(s.cache_hits for s in snapshots.values()),
-        cache_misses=sum(s.cache_misses for s in snapshots.values()),
-        result_cache_hits=sum(s.result_cache_hits for s in snapshots.values()),
-        result_cache_misses=sum(s.result_cache_misses for s in snapshots.values()),
-        waves_dispatched=sum(s.waves_dispatched for s in snapshots.values()),
-        wave_members=sum(s.wave_members for s in snapshots.values()),
-        wave_width_p50=max(
-            (s.wave_width_p50 for s in snapshots.values()), default=0.0
+        replayed_macs=reduce(
+            MACBreakdown.merged_with, (s.replayed_macs for s in shards), MACBreakdown()
         ),
-        shared_row_fraction=(
-            shared_row_macs / total_row_macs if total_row_macs else 0.0
+        timings=reduce(
+            TimingBreakdown.merged_with, (s.timings for s in shards), TimingBreakdown()
         ),
-        macs_per_request=(
-            macs.total / computed_requests if computed_requests > 0 else 0.0
+        latency=merge_latency_summaries([s.latency for s in shards]),
+        shared_row_fraction=ratio(
+            total("wave_shared_row_macs"), total("wave_total_row_macs")
         ),
-        cache_subset_hits=sum(s.cache_subset_hits for s in snapshots.values()),
+        macs_per_request=ratio(
+            macs.total, total("requests_completed") - total("requests_replayed")
+        ),
     )

@@ -266,11 +266,8 @@ class SocketTransport(ShardTransport):
     ----------
     addresses:
         ``(host, port)`` of each shard's server, indexed by shard id.
-    pipeline:
-        When true (default) every request of a round is written before the
-        first response is read — one round trip per cross-shard hop.  When
-        false, requests run strictly send→receive one shard at a time (the
-        benchmark's pipelining-off baseline).
+        Every request of a round is written before the first response is
+        read — one round trip per cross-shard hop.
     timeout_seconds:
         Socket timeout for connects, sends and receives.  A stuck server
         surfaces as a :class:`~repro.exceptions.TransportError` instead of a
@@ -281,12 +278,10 @@ class SocketTransport(ShardTransport):
         self,
         addresses: Sequence[tuple[str, int]],
         *,
-        pipeline: bool = True,
         timeout_seconds: float = 30.0,
     ) -> None:
         super().__init__()
         self.addresses = [tuple(address) for address in addresses]
-        self.pipeline = pipeline
         self.timeout_seconds = timeout_seconds
         self._connections: dict[int, socket.socket] = {}
         self._closed = False
@@ -314,10 +309,7 @@ class SocketTransport(ShardTransport):
             )
         with self._round_lock:
             try:
-                if self.pipeline:
-                    frames = self._fetch_pipelined(op, requests)
-                else:
-                    frames = self._fetch_sequential(op, requests)
+                frames = self._fetch_pipelined(op, requests)
             except TransportError:
                 # A round that died mid-flight may leave unread responses in
                 # *other* shards' streams; reusing those connections would
@@ -353,13 +345,6 @@ class SocketTransport(ShardTransport):
             self._send(op, shard_id, rows)
         # Phase 2: read the response frames in request order.
         return [self._receive_frame(op, shard_id) for shard_id, _ in requests]
-
-    def _fetch_sequential(self, op: str, requests: RequestBatch) -> list[memoryview]:
-        frames = []
-        for shard_id, rows in requests:
-            self._send(op, shard_id, rows)
-            frames.append(self._receive_frame(op, shard_id))
-        return frames
 
     def _send(self, op: str, shard_id: int, rows) -> None:
         trace = None

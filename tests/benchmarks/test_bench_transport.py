@@ -2,7 +2,7 @@
 
 Runs ``benchmarks/bench_transport.py --quick`` end to end so tier-1 catches
 regressions in the cross-backend bit-equivalence assertions and the
-pipelining accounting.  Real sockets are involved, so the run is guarded by
+socket accounting.  Real sockets are involved, so the run is guarded by
 the same watchdog the transport suite uses: a hang dumps stacks and aborts
 instead of stalling CI.  The real numbers come from the full run, which
 writes ``BENCH_transport.json``.
@@ -57,33 +57,24 @@ def test_quick_bench_runs_and_reports(tmp_path):
     report = json.loads(output.read_text())
     assert report["quick"] is True
     suites = {record["suite"] for record in report["suites"]}
-    assert suites == {"transport_equivalence", "pipelining"}
+    assert suites == {"transport_equivalence"}
 
     equivalence = [
         r for r in report["suites"] if r["suite"] == "transport_equivalence"
     ]
-    # One record per shard count, each sweeping all four backends.
+    # One record per shard count, each sweeping all three backends.
     assert len(equivalence) == 3
     for record in equivalence:
         assert record["predictions_equal"]
         assert record["depths_equal"]
         assert record["macs_equal"]
-        assert set(record["backends"]) == {
-            "local", "socket", "socket_nopipe", "fault_wrapped"
-        }
+        assert set(record["backends"]) == {"local", "socket", "fault_wrapped"}
         socket_entry = record["backends"]["socket"]
         assert socket_entry["wire_bytes_sent"] > 0
         assert socket_entry["wire_bytes_received"] > 0
         assert socket_entry["transport"]["rounds"] > 0
         # Local zero-copy fetches move no wire bytes but count payloads.
         assert record["backends"]["local"]["transport"]["total_bytes"] > 0
-
-    pipelining = [r for r in report["suites"] if r["suite"] == "pipelining"]
-    assert len(pipelining) == 3
-    for record in pipelining:
-        assert record["pipelined_wall_seconds"] > 0
-        assert record["sequential_wall_seconds"] > 0
-        assert record["rounds"] > 0
 
     aggregate = report["aggregate"]
     assert aggregate["all_predictions_equal"]

@@ -1,10 +1,13 @@
 """Tests for the worker-ownable BatchEngine extracted from NAIPredictor."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.core import NAIConfig
+from repro.core import inference
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.graph import kernels
 
 
 @pytest.fixture(scope="module")
@@ -78,21 +81,23 @@ class TestBufferReuse:
 
 
 class TestRunDispatchThreshold:
-    def test_threshold_is_validated(self):
-        with pytest.raises(ConfigurationError):
-            NAIConfig(t_min=1, t_max=2, run_dispatch_threshold=-1)
-
-    def test_threshold_sweep_preserves_outputs(self, trained_nai, tiny_dataset):
-        """Any crossover setting is a pure perf knob — outputs never change."""
+    def test_threshold_sweep_preserves_outputs(
+        self, trained_nai, tiny_dataset, monkeypatch
+    ):
+        """Any masked-SpMM crossover is a pure perf choice — outputs never change."""
+        config = trained_nai.inference_config(
+            distance_threshold=trained_nai.suggest_distance_threshold(0.5)
+        )
         results = []
         for threshold in (0, 8, 1_000_000):
-            predictor = trained_nai.build_predictor(
-                policy="distance",
-                config=trained_nai.inference_config(
-                    distance_threshold=trained_nai.suggest_distance_threshold(0.5),
-                    run_dispatch_threshold=threshold,
+            monkeypatch.setattr(
+                inference,
+                "auto_masked_spmm",
+                functools.partial(
+                    kernels.auto_masked_spmm, max_zero_copy_runs=threshold
                 ),
             )
+            predictor = trained_nai.build_predictor(policy="distance", config=config)
             predictor.prepare(tiny_dataset.graph, tiny_dataset.features)
             results.append(predictor.predict(np.asarray(tiny_dataset.split.test_idx)))
         baseline = results[0]

@@ -107,9 +107,8 @@ class TestMaskedSpMM:
         """Both dispatch strategies compute identical rows and nnz counts.
 
         ``max_zero_copy_runs=0`` forces the compacting gather for every mask;
-        a huge threshold forces per-run zero-copy dispatch.  The tunable
-        (exposed as ``NAIConfig.run_dispatch_threshold``) must never change
-        results, only performance.
+        a huge threshold forces per-run zero-copy dispatch.  The crossover
+        must never change results, only performance.
         """
         rng = np.random.default_rng(23)
         mask = rng.random(60) < 0.4

@@ -1,12 +1,16 @@
 """SlidingWindow semantics and HealthMonitor windowed readings (virtual time)."""
 
+import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core import MonitorConfig
+from repro.core.inference import MACBreakdown, TimingBreakdown
 from repro.exceptions import ConfigurationError
 from repro.obs import HealthMonitor, MetricsRegistry, SlidingWindow
+from repro.serving import ServingStats
 from repro.serving.clock import FakeClock
 
 
@@ -152,12 +156,13 @@ class TestSlidingWindow:
 # ---------------------------------------------------------------------- #
 # HealthMonitor over a scripted stub router
 # ---------------------------------------------------------------------- #
-def _interval(completed=0, failed=0, nodes=0, depth=0):
+def _interval(completed=0, failed=0, nodes=0, depth=0, samples=()):
     return SimpleNamespace(
         requests_completed=completed,
         requests_failed=failed,
         nodes_completed=nodes,
         queue_depth=depth,
+        latency_samples=tuple(samples),
     )
 
 
@@ -167,14 +172,10 @@ class StubRouter:
     def __init__(self):
         self.registry = MetricsRegistry()
         self.intervals: dict[int, SimpleNamespace] = {}
-        self.samples: dict[int, tuple[float, ...]] = {}
         self.plan_version = 0
         self.transport_retries = 0
         self.transport_failovers = 0
         self.remote_bytes = 0
-
-    def interval_latency_samples(self):
-        return dict(self.samples)
 
     def interval_stats(self, *, reset=True):
         return dict(self.intervals)
@@ -202,8 +203,9 @@ class TestHealthMonitor:
         clock = FakeClock()
         router = StubRouter()
         monitor = HealthMonitor(router, CONFIG, clock=clock)
-        router.intervals = {0: _interval(completed=4, nodes=40)}
-        router.samples = {0: (0.010, 0.020)}
+        router.intervals = {
+            0: _interval(completed=4, nodes=40, samples=(0.010, 0.020))
+        }
         clock.advance(10.0)
         health = monitor.tick()
         shard = health.per_shard[0]
@@ -264,8 +266,7 @@ class TestHealthMonitor:
         clock = FakeClock()
         router = StubRouter()
         monitor = HealthMonitor(router, CONFIG, clock=clock)
-        router.intervals = {0: _interval(completed=4, nodes=40)}
-        router.samples = {0: (0.010,)}
+        router.intervals = {0: _interval(completed=4, nodes=40, samples=(0.010,))}
         clock.advance(10.0)
         monitor.tick()
         registry = router.registry  # monitor defaults to the router's
@@ -309,3 +310,80 @@ class TestHealthMonitor:
         assert description["ticks"] == 1
         assert description["shards"] == [0, 1]
         assert description["window_seconds"] == 60.0
+
+
+# ---------------------------------------------------------------------- #
+# HealthMonitor over live ServingStats accumulators
+# ---------------------------------------------------------------------- #
+class StatsRouter:
+    """Serves real per-shard ``ServingStats`` intervals to the monitor."""
+
+    def __init__(self, shards):
+        self.registry = MetricsRegistry()
+        self.shards = shards
+
+    def interval_stats(self, *, reset=True):
+        return {
+            shard_id: stats.interval_snapshot(reset=reset)
+            for shard_id, stats in self.shards.items()
+        }
+
+    def stats(self):
+        return SimpleNamespace(
+            plan_version=0, transport_retries=0, transport_failovers=0
+        )
+
+    def traffic(self):
+        return {}
+
+
+def test_ticks_see_every_latency_sample_of_every_counted_request():
+    """Regression: a batch landing between two reads lost its latencies.
+
+    The monitor read an interval's latency samples and its counters in two
+    lock holds; a batch completing in between was counted by the second
+    read and then discarded by its reset, so the latency SLO never saw it.
+    Worker threads (more than cores) record batches while ticks run; over
+    all ticks, samples seen must equal requests counted.
+    """
+    clock = FakeClock()
+    shards = {0: ServingStats(clock=clock), 1: ServingStats(clock=clock)}
+    monitor = HealthMonitor(StatsRouter(shards), CONFIG, clock=clock)
+    batches_per_thread, requests_per_batch = 3000, 3
+
+    def record(stats, worker_id):
+        for _ in range(batches_per_thread):
+            stats.record_batch(
+                worker_id=worker_id,
+                num_nodes=requests_per_batch,
+                num_requests=requests_per_batch,
+                macs=MACBreakdown(),
+                timings=TimingBreakdown(),
+                latencies=[0.001] * requests_per_batch,
+                queue_waits=[0.0] * requests_per_batch,
+            )
+
+    threads = [
+        threading.Thread(target=record, args=(shards[i % 2], i), daemon=True)
+        for i in range(4)
+    ]
+    seen_samples = seen_completed = 0
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        while any(thread.is_alive() for thread in threads):
+            health = monitor.tick()
+            seen_samples += len(health.interval_latency_samples)
+            seen_completed += health.interval_completed
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    health = monitor.tick()  # the tail after the last worker finished
+    seen_samples += len(health.interval_latency_samples)
+    seen_completed += health.interval_completed
+    assert seen_completed == len(threads) * batches_per_thread * requests_per_batch
+    assert seen_samples == seen_completed

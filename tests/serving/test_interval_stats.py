@@ -124,12 +124,14 @@ class TestIntervalSnapshot:
         assert follow_up.requests_failed == 0
         assert follow_up.requests_replayed == 0
 
-    def test_interval_latency_samples_are_non_destructive(self):
+    def test_interval_snapshot_carries_its_latency_samples(self):
         clock = FakeClock()
         stats = ServingStats(clock=clock)
         _record(stats, latencies=(0.01, 0.02))
-        assert stats.interval_latency_samples() == (0.01, 0.02)
-        assert stats.interval_latency_samples() == (0.01, 0.02)  # still there
+        peek = stats.interval_snapshot(reset=False)
+        assert peek.latency_samples == (0.01, 0.02)
         clock.advance(1.0)
-        stats.interval_snapshot()  # default reset consumes the interval
-        assert stats.interval_latency_samples() == ()
+        assert stats.interval_snapshot().latency_samples == (0.01, 0.02)
+        assert stats.interval_snapshot().latency_samples == ()  # consumed
+        # The cumulative snapshot summarises its samples but exports none.
+        assert stats.snapshot().latency_samples == ()

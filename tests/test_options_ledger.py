@@ -1,0 +1,69 @@
+"""Ledger of the settable options on the main configuration surfaces.
+
+Every independently settable value multiplies the configurations tests and
+benchmarks must cover, so the count is pinned here: adding, removing or
+renaming a knob is an edit to this file, reviewed in the same diff as the
+evidence that a caller needs it.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from repro.core import MonitorConfig, NAIConfig, ServingConfig, ShardConfig
+from repro.transport import SocketTransport
+
+LEDGER = [
+    (
+        ServingConfig,
+        18,
+        {
+            "num_workers", "max_batch_size", "max_wait_ms", "batch_policy",
+            "batch_size_ceiling", "wait_ms_ceiling", "pressure_widen_depth",
+            "pressure_shrink_depth", "pressure_levels",
+            "pressure_hold_decisions", "latency_slo_ms", "queue_capacity",
+            "overflow_policy", "cache_capacity", "result_cache_capacity",
+            "prefetch_depth", "wave_width", "cache_subset_lookups",
+        },
+    ),
+    (
+        NAIConfig,
+        6,
+        {"t_min", "t_max", "distance_threshold", "batch_size", "dtype", "engine"},
+    ),
+    (
+        ShardConfig,
+        5,
+        {
+            "num_shards", "strategy", "replication_factor", "hot_shard_boost",
+            "hot_shard_fraction",
+        },
+    ),
+    (
+        MonitorConfig,
+        16,
+        {
+            "window_seconds", "num_buckets", "cadence_seconds", "sample_cap",
+            "latency_slo_threshold_seconds", "latency_slo_budget_fraction",
+            "error_slo_budget_fraction", "fast_burn_window_seconds",
+            "slow_burn_window_seconds", "burn_rate_threshold",
+            "alert_for_seconds", "resolve_after_seconds", "min_alert_events",
+            "cooldown_seconds", "rebalance_boost", "rebalance_hot_fraction",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config, count, names", LEDGER, ids=[entry[0].__name__ for entry in LEDGER]
+)
+def test_config_fields_are_the_ledgered_ones(config, count, names):
+    settable = {f.name for f in dataclasses.fields(config) if f.init}
+    assert settable == names
+    assert len(settable) == count
+
+
+def test_socket_transport_keywords_are_the_ledgered_ones():
+    parameters = inspect.signature(SocketTransport.__init__).parameters
+    assert set(parameters) - {"self"} == {"addresses", "timeout_seconds"}

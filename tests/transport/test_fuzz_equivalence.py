@@ -64,7 +64,7 @@ def test_all_transports_bit_identical_across_permuted_batches(
             "local": LocalTransport(sharded.store.shards),
             "socket": group.connect(),
             "fault_wrapped": FaultInjectingTransport(
-                group.connect(pipeline=False), reorder=True
+                group.connect(), reorder=True
             ),
         }
         try:

@@ -168,18 +168,6 @@ class TestSocketTransport:
                 assert remote.wire_bytes_sent > 0
                 assert remote.wire_bytes_received > 0
 
-    def test_sequential_mode_matches_pipelined(self, store):
-        rows = np.array([0, 1, 2], dtype=np.int64)
-        requests = [(0, rows), (1, rows)]
-        with ShardServerGroup(store.shards) as group:
-            with group.connect(pipeline=True) as pipelined, group.connect(
-                pipeline=False
-            ) as sequential:
-                a = pipelined.feature_rows(requests)
-                b = sequential.feature_rows(requests)
-        for got, expected in zip(a, b):
-            np.testing.assert_array_equal(got, expected)
-
     def test_server_side_error_propagates_and_connection_survives(self, store):
         with ShardServerGroup(store.shards) as group:
             with group.connect() as remote:
