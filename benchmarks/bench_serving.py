@@ -29,7 +29,7 @@ Three suites, each on the synthetic paper datasets, recorded to
     Static vs. adaptive batching policies (:mod:`repro.serving.controller`).
     Two parts: deterministic *virtual-time* load-ramp curves through the
     :mod:`repro.serving.simulator` — throughput and p95 latency per policy
-    across offered-load levels, with ``QueuePressurePolicy`` asserted to
+    across offered-load levels, with ``MarginalLatencyPolicy`` asserted to
     beat ``StaticPolicy`` under overload while holding the SLO — and a
     real-server streaming run under each policy asserted **bit-identical**
     (predictions, depths, MAC totals) to the sequential baseline: the
@@ -67,7 +67,6 @@ from repro.serving import (
     InferenceServer,
     LinearServiceModel,
     MarginalLatencyPolicy,
-    QueuePressurePolicy,
     StaticPolicy,
     ramp_arrivals,
     simulate_policy,
@@ -315,16 +314,6 @@ VIRTUAL_BURST_GAPS = (0.004, 0.002, 0.001, 0.0005)
 def _virtual_controllers() -> dict:
     return {
         "static": lambda: StaticPolicy(8, 0.002),
-        "queue_pressure": lambda: QueuePressurePolicy(
-            base_batch_size=8,
-            batch_size_ceiling=64,
-            base_wait_seconds=0.002,
-            wait_seconds_ceiling=0.008,
-            widen_depth=6,
-            shrink_depth=1,
-            levels=3,
-            hold_decisions=1,
-        ),
         "marginal_latency": lambda: MarginalLatencyPolicy(
             slo_seconds=VIRTUAL_SLO_SECONDS,
             base_batch_size=8,
@@ -367,19 +356,19 @@ def run_virtual_ramp_curves(*, quick: bool) -> dict:
     heaviest = max(overloaded)
     for index in overloaded:
         static_point = curves["static"][index]
-        adaptive_point = curves["queue_pressure"][index]
+        adaptive_point = curves["marginal_latency"][index]
         # Under overload the adaptive policy must hold the SLO and beat the
         # static p95; aggregate throughput is strictly higher wherever the
         # static backlog outlives the arrivals (always at the heaviest load
         # level — milder bursts may drain inside the schedule for both).
         if adaptive_point["latency_ms"]["p95"] > VIRTUAL_SLO_SECONDS * 1e3:
             raise AssertionError(
-                "adaptive virtual ramp: QueuePressurePolicy broke the p95 SLO "
+                "adaptive virtual ramp: MarginalLatencyPolicy broke the p95 SLO "
                 f"at burst gap {VIRTUAL_BURST_GAPS[index]}"
             )
         if adaptive_point["latency_ms"]["p95"] >= static_point["latency_ms"]["p95"]:
             raise AssertionError(
-                "adaptive virtual ramp: QueuePressurePolicy p95 did not beat "
+                "adaptive virtual ramp: MarginalLatencyPolicy p95 did not beat "
                 f"StaticPolicy at burst gap {VIRTUAL_BURST_GAPS[index]}"
             )
         if index == heaviest and not (
@@ -387,7 +376,7 @@ def run_virtual_ramp_curves(*, quick: bool) -> dict:
             > static_point["throughput_nodes_per_second"]
         ):
             raise AssertionError(
-                "adaptive virtual ramp: QueuePressurePolicy did not beat "
+                "adaptive virtual ramp: MarginalLatencyPolicy did not beat "
                 f"StaticPolicy throughput at burst gap {VIRTUAL_BURST_GAPS[index]}"
             )
     return {
@@ -398,11 +387,11 @@ def run_virtual_ramp_curves(*, quick: bool) -> dict:
         "slo_ms": VIRTUAL_SLO_SECONDS * 1e3,
         "curves": curves,
         "overload_speedup": (
-            curves["queue_pressure"][heaviest]["throughput_nodes_per_second"]
+            curves["marginal_latency"][heaviest]["throughput_nodes_per_second"]
             / curves["static"][heaviest]["throughput_nodes_per_second"]
         ),
-        "queue_pressure_beats_static": True,
-        "queue_pressure_p95_within_slo": True,
+        "marginal_latency_beats_static": True,
+        "marginal_latency_p95_within_slo": True,
     }
 
 
@@ -414,7 +403,7 @@ def run_adaptive_suite(
 
     The real-server part replays one streaming tick stream under every
     policy.  Each tick fills the width budget exactly, so batch composition
-    is pinned and all three policies must reproduce the sequential
+    is pinned and both policies must reproduce the sequential
     predictions, depth distributions *and MAC totals* bit-for-bit — the
     acceptance bar for "batching changes, results don't".
     """
@@ -433,10 +422,6 @@ def run_adaptive_suite(
     )
     configs = {
         "static": ServingConfig(**base),
-        "queue_pressure": ServingConfig(
-            **base, batch_policy="queue_pressure", wait_ms_ceiling=4.0,
-            pressure_widen_depth=3, pressure_shrink_depth=1,
-        ),
         "marginal_latency": ServingConfig(
             **base, batch_policy="marginal_latency", latency_slo_ms=250.0,
         ),
@@ -593,7 +578,7 @@ def run_bench(
     if virtual_ramp is not None:
         aggregate["adaptive_overload_speedup"] = virtual_ramp["overload_speedup"]
         aggregate["adaptive_p95_within_slo"] = virtual_ramp[
-            "queue_pressure_p95_within_slo"
+            "marginal_latency_p95_within_slo"
         ]
     return {
         "benchmark": "bench_serving",

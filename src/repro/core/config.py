@@ -177,29 +177,18 @@ class ServingConfig:
         Which :class:`~repro.serving.BatchController` steers the batcher's
         limits.  ``"static"`` (default) keeps ``max_batch_size`` /
         ``max_wait_ms`` fixed — the pre-controller behavior.
-        ``"queue_pressure"`` widens both toward the ceilings below as queue
-        depth and request age grow and shrinks them back when the queue
-        drains (two-watermark hysteresis).  ``"marginal_latency"`` fits an
-        online per-batch cost model and picks the widest batch whose
-        estimated latency stays under ``latency_slo_ms``.  Policies change
-        batching only — served predictions, exit depths and per-batch MAC
-        accounting semantics are policy-independent.
+        ``"marginal_latency"`` fits an online per-batch cost model from
+        measured service times and picks the widest batch (up to the
+        ceilings below) whose estimated latency stays under
+        ``latency_slo_ms``.  Policies change batching only — served
+        predictions, exit depths and per-batch MAC accounting semantics are
+        policy-independent.
     batch_size_ceiling:
-        Upper bound the adaptive policies may widen ``max_batch_size`` to.
+        Upper bound the adaptive policy may widen ``max_batch_size`` to.
         ``0`` (default) means "same as ``max_batch_size``" — no widening.
     wait_ms_ceiling:
-        Upper bound the adaptive policies may stretch ``max_wait_ms`` to.
+        Upper bound the adaptive policy may stretch ``max_wait_ms`` to.
         ``0`` (default) means "same as ``max_wait_ms``".
-    pressure_widen_depth / pressure_shrink_depth:
-        Queue-depth watermarks of the ``"queue_pressure"`` policy: at or
-        above ``pressure_widen_depth`` coalescable requests it widens one
-        level, at or below ``pressure_shrink_depth`` it shrinks one level,
-        and the band in between holds — the hysteresis gap.
-    pressure_levels:
-        Number of widening steps between the base limits and the ceilings.
-    pressure_hold_decisions:
-        Decisions to hold the level after any change (cooldown), so one
-        noisy depth sample cannot flip the level straight back.
     latency_slo_ms:
         Per-request latency target of the ``"marginal_latency"`` policy
         (must be positive when that policy is selected; ignored otherwise).
@@ -247,14 +236,6 @@ class ServingConfig:
         scatters per-request results back — bit-identical to isolated
         execution, with shared propagation MACs attributed pro-rata to the
         member batches.  Values above 1 require the fused engine.
-    cache_subset_lookups:
-        When ``True``, a :class:`~repro.serving.SubgraphCache` miss on a
-        dispatch unit's exact key falls back to scanning for a cached
-        **superset** bundle and slicing the requested support out of it
-        (bit-identical to a fresh build).  Subset hits refresh recency
-        through the ``peek()`` path and are counted separately from exact
-        hits, so the serving hit/miss ledger stays torn-free.  The default
-        ``False`` keeps lookup costs O(1).  Requires the cache.
     """
 
     num_workers: int = 4
@@ -263,10 +244,6 @@ class ServingConfig:
     batch_policy: str = "static"
     batch_size_ceiling: int = 0
     wait_ms_ceiling: float = 0.0
-    pressure_widen_depth: int = 8
-    pressure_shrink_depth: int = 2
-    pressure_levels: int = 4
-    pressure_hold_decisions: int = 2
     latency_slo_ms: float = 0.0
     queue_capacity: int = 1024
     overflow_policy: str = "block"
@@ -274,7 +251,6 @@ class ServingConfig:
     result_cache_capacity: int = 0
     prefetch_depth: int = 0
     wave_width: int = 1
-    cache_subset_lookups: bool = False
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -289,10 +265,10 @@ class ServingConfig:
             raise ConfigurationError(
                 f"max_wait_ms must be non-negative, got {self.max_wait_ms}"
             )
-        if self.batch_policy not in ("static", "queue_pressure", "marginal_latency"):
+        if self.batch_policy not in ("static", "marginal_latency"):
             raise ConfigurationError(
-                "batch_policy must be 'static', 'queue_pressure' or "
-                f"'marginal_latency', got {self.batch_policy!r}"
+                "batch_policy must be 'static' or 'marginal_latency', "
+                f"got {self.batch_policy!r}"
             )
         if self.batch_size_ceiling and self.batch_size_ceiling < self.max_batch_size:
             raise ConfigurationError(
@@ -303,25 +279,6 @@ class ServingConfig:
             raise ConfigurationError(
                 f"wait_ms_ceiling ({self.wait_ms_ceiling}) must be 0 "
                 f"(= max_wait_ms) or >= max_wait_ms ({self.max_wait_ms})"
-            )
-        if self.pressure_shrink_depth < 0:
-            raise ConfigurationError(
-                f"pressure_shrink_depth must be non-negative, got "
-                f"{self.pressure_shrink_depth}"
-            )
-        if self.pressure_widen_depth <= self.pressure_shrink_depth:
-            raise ConfigurationError(
-                f"pressure_widen_depth ({self.pressure_widen_depth}) must exceed "
-                f"pressure_shrink_depth ({self.pressure_shrink_depth})"
-            )
-        if self.pressure_levels < 1:
-            raise ConfigurationError(
-                f"pressure_levels must be positive, got {self.pressure_levels}"
-            )
-        if self.pressure_hold_decisions < 0:
-            raise ConfigurationError(
-                f"pressure_hold_decisions must be non-negative, got "
-                f"{self.pressure_hold_decisions}"
             )
         if self.latency_slo_ms < 0:
             raise ConfigurationError(
@@ -481,11 +438,6 @@ class MonitorConfig:
         request in an idle window is not an incident).
     cooldown_seconds:
         Minimum spacing between auto-rebalance plan installs.
-    rebalance_boost:
-        Extra replica rails granted to observed-hot shards in a proposed
-        plan.
-    rebalance_hot_fraction:
-        Fraction of shards (by windowed heat) the advisor treats as hot.
     """
 
     window_seconds: float = 60.0
@@ -502,8 +454,6 @@ class MonitorConfig:
     resolve_after_seconds: float = 30.0
     min_alert_events: int = 8
     cooldown_seconds: float = 120.0
-    rebalance_boost: int = 1
-    rebalance_hot_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         if self.window_seconds <= 0:
@@ -572,15 +522,6 @@ class MonitorConfig:
             raise ConfigurationError(
                 f"cooldown_seconds must be non-negative, got "
                 f"{self.cooldown_seconds}"
-            )
-        if self.rebalance_boost < 0:
-            raise ConfigurationError(
-                f"rebalance_boost must be non-negative, got {self.rebalance_boost}"
-            )
-        if not 0.0 < self.rebalance_hot_fraction <= 1.0:
-            raise ConfigurationError(
-                f"rebalance_hot_fraction must lie in (0, 1], got "
-                f"{self.rebalance_hot_fraction}"
             )
 
     def with_updates(self, **kwargs) -> "MonitorConfig":

@@ -31,7 +31,6 @@ from .kernels import (
     extract_submatrix,
     gather_columns,
     global_to_local_map,
-    hop_distances,
 )
 from .sparse import CSRGraph
 
@@ -295,81 +294,6 @@ def build_support_bundle(
         indices=indices,
         data=data,
         local_features=local_features,
-        build_seconds=time.perf_counter() - start,
-    )
-
-
-def slice_support_bundle(
-    bundle: SupportBundle,
-    targets: np.ndarray,
-    depth: int,
-) -> SupportBundle:
-    """Carve the supporting bundle for ``targets`` out of a superset bundle.
-
-    If every target is contained in ``bundle``'s node set, the ``depth``-hop
-    support of ``targets`` is a subset of the bundle's nodes and all of its
-    edges are present in the bundle's local CSR, so the slice can be built
-    without touching the full graph or the transport layer.  The result is
-    **bit-identical** to a fresh :func:`build_support_bundle` for the same
-    targets: local rows are re-sorted into the fresh build's (hop, global id)
-    order, and the sub-CSR extraction preserves per-row column order.
-
-    Raises :class:`~repro.exceptions.GraphConstructionError` when a target is
-    missing from the bundle or the slice would need rows beyond ``depth``
-    hops that the bundle cannot prove it holds (i.e. the bundle was built
-    for a shallower depth).
-    """
-    start = time.perf_counter()
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.size == 0:
-        raise GraphConstructionError("slice_support_bundle requires targets")
-    support = bundle.support
-    node_ids = support.node_ids
-    # The stored support drops its graph-sized global_to_local map; recover
-    # the target rows with one O(n log n) argsort over the bundle's nodes.
-    order = np.argsort(node_ids, kind="stable")
-    sorted_ids = node_ids[order]
-    pos = np.searchsorted(sorted_ids, targets)
-    contained = (pos < sorted_ids.shape[0]) & (
-        sorted_ids[np.minimum(pos, sorted_ids.shape[0] - 1)] == targets
-    )
-    if not np.all(contained):
-        raise GraphConstructionError(
-            "slice_support_bundle: targets are not contained in the bundle"
-        )
-    target_rows = order[pos]
-    # Hop distances over the bundle's own CSR reproduce the full-graph BFS
-    # exactly: every node within `depth` hops of a contained target is in
-    # the bundle (supports are monotone in the target set) along with every
-    # edge of its shortest paths, and the normalized adjacency shares the
-    # raw adjacency's reachability (self-loops never change BFS layering).
-    dist = hop_distances(
-        bundle.indptr, bundle.indices, target_rows, bundle.num_local, depth
-    )
-    sel = np.flatnonzero(dist <= depth)
-    # Fresh builds order nodes hop-major, ascending global id within a hop.
-    sel = sel[np.lexsort((node_ids[sel], dist[sel]))]
-    local_matrix = sp.csr_matrix(
-        (bundle.data, bundle.indices, bundle.indptr),
-        shape=(bundle.num_local, bundle.num_local),
-    )
-    lookup = global_to_local_map(sel, bundle.num_local)
-    indptr, indices, data = extract_local_csr_arrays(
-        local_matrix, sel, lookup=lookup
-    )
-    sliced = SupportingSubgraph(
-        node_ids=node_ids[sel],
-        target_local=lookup[target_rows],
-        adjacency=None,
-        hops=dist[sel],
-        global_to_local=None,
-    )
-    return SupportBundle(
-        support=sliced,
-        indptr=indptr,
-        indices=indices,
-        data=data,
-        local_features=np.ascontiguousarray(bundle.local_features[sel]),
         build_seconds=time.perf_counter() - start,
     )
 

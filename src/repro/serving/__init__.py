@@ -9,8 +9,8 @@ offline :class:`~repro.core.NAIPredictor` into that service:
 * :class:`MicroBatcher` — dynamic micro-batching under a latency budget
   (``max_batch_size`` nodes, ``max_wait_ms`` of the oldest request);
 * :class:`BatchController` — the adaptive-batching policy surface
-  (:class:`StaticPolicy`, :class:`QueuePressurePolicy`,
-  :class:`MarginalLatencyPolicy`) that moves those limits with load;
+  (:class:`StaticPolicy`, :class:`MarginalLatencyPolicy`) that moves those
+  limits with measured service time;
 * :class:`SubgraphCache` — LRU reuse of supporting-subgraph bundles across
   recurring batches of a streaming workload;
 * :class:`WorkerPool` — worker threads, each owning a private
@@ -35,7 +35,6 @@ from .controller import (
     BatchController,
     BatchLimits,
     MarginalLatencyPolicy,
-    QueuePressurePolicy,
     StaticPolicy,
     build_controller,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "MicroBatcher",
     "MonotonicClock",
     "PrefetchPipeline",
-    "QueuePressurePolicy",
     "RequestQueue",
     "ResultCache",
     "ServingResponse",

@@ -58,10 +58,6 @@ class CacheCounters:
     misses: int
     evictions: int
     entries: int
-    #: Superset-bundle matches served by :meth:`SubgraphCache.find_superset`.
-    #: Counted apart from ``hits`` — a subset hit follows a miss the caller
-    #: already recorded, so folding it into ``hits`` would tear the ledger.
-    subset_hits: int = 0
 
     @property
     def lookups(self) -> int:
@@ -91,7 +87,6 @@ class _LruCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.subset_hits = 0
 
     @staticmethod
     def key_for(node_ids: np.ndarray, depth: int) -> bytes:
@@ -146,7 +141,6 @@ class _LruCache:
                 misses=self.misses,
                 evictions=self.evictions,
                 entries=len(self._entries),
-                subset_hits=self.subset_hits,
             )
 
     def __len__(self) -> int:
@@ -173,57 +167,6 @@ class SubgraphCache(_LruCache):
         """Approximate memory held by the cached bundles."""
         with self._lock:
             return sum(bundle.nbytes for bundle in self._entries.values())
-
-    def find_superset(
-        self,
-        sorted_ids: np.ndarray,
-        depth: int,
-        *,
-        scan_limit: int = 64,
-    ):
-        """Find a cached bundle whose node set contains ``sorted_ids``.
-
-        The wave dispatcher calls this after an exact-key miss (which the
-        caller has already counted): a previously cached union whose target
-        set is a superset of the request can serve it by slicing
-        (:func:`~repro.graph.sampling.slice_support_bundle`).  Scans at most
-        ``scan_limit`` entries, most-recent first — recency correlates with
-        reuse, and an O(capacity) scan per miss would defeat the cache.
-
-        Returns ``(superset_targets, bundle)`` or ``None``.  A match
-        refreshes recency through the :meth:`peek` path — **not**
-        :meth:`get` — so the hit/miss ledger the dispatcher keeps stays
-        consistent; matches are tallied in the separate ``subset_hits``
-        counter instead.
-        """
-        sorted_ids = np.ascontiguousarray(sorted_ids, dtype=np.int64)
-        depth_prefix = depth.to_bytes(8, "little")
-        with self._lock:
-            matched_key = None
-            superset = None
-            for scanned, key in enumerate(reversed(self._entries)):
-                if scanned >= scan_limit:
-                    break
-                if not key.startswith(depth_prefix):
-                    continue
-                candidate = np.frombuffer(key[8:], dtype=np.int64)
-                if candidate.shape[0] <= sorted_ids.shape[0]:
-                    # Equal-size supersets are exact matches, which the
-                    # caller's get() already ruled out.
-                    continue
-                pos = np.searchsorted(candidate, sorted_ids)
-                if np.all(pos < candidate.shape[0]) and np.array_equal(
-                    candidate[pos], sorted_ids
-                ):
-                    matched_key = key
-                    superset = candidate
-                    break
-            if matched_key is None:
-                return None
-            # peek-path recency refresh: no hit/miss accounting.
-            self._entries.move_to_end(matched_key)
-            self.subset_hits += 1
-            return superset, self._entries[matched_key]
 
 
 @dataclass(frozen=True)

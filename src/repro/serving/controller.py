@@ -6,27 +6,22 @@ this module: the server either over-waited when idle (a wide budget nobody
 fills) or under-batched under load (a narrow budget while the queue grows).
 The paper's node-adaptive propagation spends work only where nodes need it;
 a :class:`BatchController` applies the same idea to *batching*: batch width
-should track queue pressure, not a config constant (the serving-side reading
-of the paper's batch-size study, Figure 5, and of the large-scale analysis
-in Gao et al., 2022).
+should follow a quantity the server measures, not a config constant (the
+serving-side reading of the paper's batch-size study, Figure 5, and of the
+large-scale analysis in Gao et al., 2022).
 
-Three policies implement the interface:
+Two policies implement the interface:
 
 :class:`StaticPolicy`
     The previous behavior and the default — always returns the configured
     ``(max_batch_size, max_wait_ms)``.  Zero adjustments, zero surprises.
 
-:class:`QueuePressurePolicy`
-    Widens both knobs toward configured ceilings as queue depth and oldest
-    request age grow, and shrinks them back when the queue drains.  A
-    two-watermark hysteresis band plus a post-adjustment hold keep it from
-    oscillating when the depth hovers around a threshold.
-
 :class:`MarginalLatencyPolicy`
-    Maintains an online linear cost model ``service(n) ≈ a + b·n`` from
-    observed batch service times and picks the widest batch whose estimated
-    completion latency stays under a target SLO, spending the remaining
-    latency slack as coalescing wait.
+    The adaptive policy.  Maintains an online linear cost model
+    ``service(n) ≈ a + b·n`` from observed batch service times and picks the
+    widest batch whose estimated completion latency stays under a target
+    SLO, spending the remaining latency slack as coalescing wait.  Its only
+    setting is the SLO; the operating point is learned, not hand-set.
 
 Every policy is deterministic: decisions depend only on the observed
 sequence of ``(queue_depth, oldest_wait, service samples)``, so the whole
@@ -48,7 +43,6 @@ __all__ = [
     "BatchController",
     "BatchLimits",
     "MarginalLatencyPolicy",
-    "QueuePressurePolicy",
     "StaticPolicy",
     "build_controller",
 ]
@@ -150,115 +144,6 @@ class StaticPolicy(BatchController):
 
     def _decide(self, *, queue_depth: int, oldest_wait_seconds: float) -> BatchLimits:
         return self._limits
-
-
-class QueuePressurePolicy(BatchController):
-    """Widen under backlog, shrink when drained, with hysteresis.
-
-    The policy moves a discrete pressure ``level`` between ``0`` (idle
-    operating point: the configured base ``max_batch_size`` /
-    ``max_wait_seconds``) and ``levels`` (the configured ceilings).  Batch
-    width interpolates geometrically between base and ceiling — each level
-    multiplies the width by a constant factor, matching the multiplicative
-    growth of a backlog — while the wait budget interpolates linearly (a
-    base wait of zero must still be able to grow).
-
-    One decision per micro-batch:
-
-    * **widen** (``level + 1``) when the coalescable queue depth reaches
-      ``widen_depth`` *or* the head request has already waited longer than
-      the current wait budget (the queue is aging faster than it drains);
-    * **shrink** (``level - 1``) when the depth has fallen to
-      ``shrink_depth`` or below;
-    * **hold** in between — the ``(shrink_depth, widen_depth)`` band is the
-      hysteresis gap — and for ``hold_decisions`` decisions after any
-      change, so one noisy depth sample cannot flip the level back.
-    """
-
-    name = "queue_pressure"
-
-    def __init__(
-        self,
-        *,
-        base_batch_size: int,
-        batch_size_ceiling: int,
-        base_wait_seconds: float,
-        wait_seconds_ceiling: float,
-        widen_depth: int = 8,
-        shrink_depth: int = 2,
-        levels: int = 4,
-        hold_decisions: int = 2,
-    ) -> None:
-        super().__init__()
-        if base_batch_size < 1:
-            raise ConfigurationError(f"base_batch_size must be positive, got {base_batch_size}")
-        if batch_size_ceiling < base_batch_size:
-            raise ConfigurationError(
-                f"batch_size_ceiling ({batch_size_ceiling}) must be >= "
-                f"base_batch_size ({base_batch_size})"
-            )
-        if base_wait_seconds < 0 or wait_seconds_ceiling < base_wait_seconds:
-            raise ConfigurationError(
-                "wait budget range must satisfy 0 <= base <= ceiling, got "
-                f"[{base_wait_seconds}, {wait_seconds_ceiling}]"
-            )
-        if shrink_depth >= widen_depth:
-            raise ConfigurationError(
-                f"hysteresis needs shrink_depth ({shrink_depth}) < "
-                f"widen_depth ({widen_depth})"
-            )
-        if levels < 1:
-            raise ConfigurationError(f"levels must be positive, got {levels}")
-        if hold_decisions < 0:
-            raise ConfigurationError(f"hold_decisions must be non-negative, got {hold_decisions}")
-        self.base_batch_size = base_batch_size
-        self.batch_size_ceiling = batch_size_ceiling
-        self.base_wait_seconds = base_wait_seconds
-        self.wait_seconds_ceiling = wait_seconds_ceiling
-        self.widen_depth = widen_depth
-        self.shrink_depth = shrink_depth
-        self.levels = levels
-        self.hold_decisions = hold_decisions
-        self._level = 0
-        self._hold = 0
-        # Adjustments count moves away from the idle operating point too.
-        self._last_limits = self._limits_at(0)
-
-    def _limits_at(self, level: int) -> BatchLimits:
-        fraction = level / self.levels
-        ratio = self.batch_size_ceiling / self.base_batch_size
-        width = int(round(self.base_batch_size * ratio**fraction))
-        width = min(max(width, self.base_batch_size), self.batch_size_ceiling)
-        wait = self.base_wait_seconds + fraction * (
-            self.wait_seconds_ceiling - self.base_wait_seconds
-        )
-        return BatchLimits(width, wait)
-
-    def _decide(self, *, queue_depth: int, oldest_wait_seconds: float) -> BatchLimits:
-        current = self._limits_at(self._level)
-        if self._hold > 0:
-            self._hold -= 1
-            return current
-        aging = oldest_wait_seconds > current.max_wait_seconds
-        pressed = queue_depth >= self.widen_depth or aging
-        if pressed and self._level < self.levels:
-            self._level += 1
-            self._hold = self.hold_decisions
-        elif queue_depth <= self.shrink_depth and self._level > 0:
-            self._level -= 1
-            self._hold = self.hold_decisions
-        return self._limits_at(self._level)
-
-    @property
-    def level(self) -> int:
-        with self._lock:
-            return self._level
-
-    def _describe_locked(self) -> dict:
-        payload = super()._describe_locked()
-        payload["level"] = self._level
-        payload["levels"] = self.levels
-        return payload
 
 
 class MarginalLatencyPolicy(BatchController):
@@ -386,24 +271,13 @@ def build_controller(config) -> BatchController:
 
     The config's static knobs are the base operating point of every policy;
     ``batch_size_ceiling`` / ``wait_ms_ceiling`` (``0`` = same as base)
-    bound the adaptive ones.
+    bound the adaptive one.
     """
     base_wait = config.max_wait_ms / 1e3
     ceiling_width = config.batch_size_ceiling or config.max_batch_size
     ceiling_wait = (config.wait_ms_ceiling or config.max_wait_ms) / 1e3
     if config.batch_policy == "static":
         return StaticPolicy(config.max_batch_size, base_wait)
-    if config.batch_policy == "queue_pressure":
-        return QueuePressurePolicy(
-            base_batch_size=config.max_batch_size,
-            batch_size_ceiling=ceiling_width,
-            base_wait_seconds=base_wait,
-            wait_seconds_ceiling=ceiling_wait,
-            widen_depth=config.pressure_widen_depth,
-            shrink_depth=config.pressure_shrink_depth,
-            levels=config.pressure_levels,
-            hold_decisions=config.pressure_hold_decisions,
-        )
     if config.batch_policy == "marginal_latency":
         return MarginalLatencyPolicy(
             slo_seconds=config.latency_slo_ms / 1e3,

@@ -11,9 +11,9 @@ stages (``docs/serving.md``, "Dispatch pipeline"):
 
 1. **form** — the first coalesced micro-batch plus a zero-wait drain of up to
    ``wave_width - 1`` already-ready ones;
-2. **resolve support** — exact subgraph-cache hit → superset slice (when
-   ``cache_subset_lookups``) → build; a miss runs the same function on the
-   dispatcher (``prefetch_depth == 0``) or on a prefetch fetcher thread;
+2. **resolve support** — exact subgraph-cache hit, else build; a miss runs
+   the same function on the dispatcher (``prefetch_depth == 0``) or on a
+   prefetch fetcher thread;
 3. **submit** — one work item per unit to the worker pool;
 4. **complete** — scatter the sweep into per-request responses, stats and
    spans; a unit of two or more members first splits the sweep's MACs exactly
@@ -44,7 +44,7 @@ import numpy as np
 from ..core.config import ServingConfig
 from ..core.inference import NAIPredictor
 from ..exceptions import ConfigurationError, ServingError
-from ..graph.sampling import SupportBundle, canonical_order, slice_support_bundle
+from ..graph.sampling import SupportBundle, canonical_order
 from .batcher import MicroBatch, MicroBatcher
 from .cache import CachedResult, ResultCache, SubgraphCache
 from .clock import MONOTONIC_CLOCK, Clock
@@ -133,11 +133,10 @@ class InferenceServer:
         self.cache: SubgraphCache | None = None
         if self.config.cache_capacity > 0 and fused:
             self.cache = SubgraphCache(self.config.cache_capacity)
-        needs_cache = self.config.prefetch_depth > 0 or self.config.cache_subset_lookups
-        if needs_cache and self.cache is None:
+        if self.config.prefetch_depth > 0 and self.cache is None:
             raise ConfigurationError(
-                "prefetch_depth > 0 and cache_subset_lookups require the "
-                "supporting-subgraph cache: the fused engine and cache_capacity > 0"
+                "prefetch_depth > 0 requires the supporting-subgraph cache: "
+                "the fused engine and cache_capacity > 0"
             )
         if self.config.wave_width > 1 and not fused:
             raise ConfigurationError(
@@ -272,7 +271,6 @@ class InferenceServer:
             cache_hits=cache.hits if cache else 0,
             cache_misses=cache.misses if cache else 0,
             cache_entries=cache.entries if cache else 0,
-            cache_subset_hits=cache.subset_hits if cache else 0,
             result_cache_hits=results.hits if results else 0,
             result_cache_misses=results.misses if results else 0,
             result_cache_entries=results.entries if results else 0,
@@ -426,33 +424,22 @@ class InferenceServer:
         unit.batch_ctx = self.tracer.child(primary)
 
     def _resolve_miss(self, unit: DispatchUnit, sampler) -> None:
-        """Superset slice, else build — on the dispatcher or a fetcher thread.
+        """Build the support — on the dispatcher or a fetcher thread.
 
         Leaves the canonical-order bundle on the unit and, unless a sibling
         fetch got there first, in the cache under the unit's exact key.
         """
-        bundle = None
         if self.cache is not None:
             # A sibling fetch may have inserted this key since the dispatcher's
             # counted miss (never true inline); peek() skips the double-booked
             # hit/miss accounting.
-            bundle = self.cache.peek(unit.cache_key)
-            unit.cache_hit = bundle is not None
-            if bundle is None and self.config.cache_subset_lookups:
-                depth = self.predictor.config.t_max
-                match = self.cache.find_superset(unit.sorted_ids, depth)
-                if match is not None:
-                    # Bit-identical to a fresh build (a subset's k-hop support
-                    # lies inside the superset's) at a fraction of the cost.
-                    # Costed — and cached under the exact key — as a build.
-                    bundle = slice_support_bundle(match[1], unit.sorted_ids, depth)
-        if bundle is None:
-            bundle = self._build_bundle(unit, sampler)
+            unit.bundle = self.cache.peek(unit.cache_key)
+            unit.cache_hit = unit.bundle is not None
         if not unit.cache_hit:
+            unit.bundle = self._build_bundle(unit, sampler)
             unit.bundle_is_fresh = True
             if self.cache is not None:
-                self.cache.put(unit.cache_key, bundle)
-        unit.bundle = bundle
+                self.cache.put(unit.cache_key, unit.bundle)
 
     def _build_bundle(self, unit: DispatchUnit, sampler) -> SupportBundle:
         """Build the canonical-order support bundle (traced when sampled)."""

@@ -7,7 +7,7 @@ on a :class:`~repro.serving.clock.FakeClock`, with batch service time given
 by an explicit cost model.  Everything — queue waits, coalescing budgets,
 controller decisions, per-request latencies — runs in virtual time, so two
 runs of the same scenario produce byte-identical reports, and a
-``QueuePressurePolicy`` vs ``StaticPolicy`` comparison is an exact
+``MarginalLatencyPolicy`` vs ``StaticPolicy`` comparison is an exact
 statement about the policies, not about the container's scheduler.
 
 The simulator is the engine behind the virtual-time load-ramp assertions in

@@ -104,7 +104,6 @@ class ServingStatsSnapshot:
     wave_width_p50: float = 0.0
     wave_width_p95: float = 0.0
     shared_row_fraction: float = 0.0
-    cache_subset_hits: int = 0
     macs_per_request: float = 0.0
     #: Raw numerator/denominator behind ``shared_row_fraction`` — the fleet
     #: merge needs them to recompute the ratio exactly across shards.
@@ -163,7 +162,6 @@ _GAUGE_DEFAULTS = dict(
     cache_hits=0,
     cache_misses=0,
     cache_entries=0,
-    cache_subset_hits=0,
     result_cache_hits=0,
     result_cache_misses=0,
     result_cache_entries=0,

@@ -87,7 +87,6 @@ class ShardedStatsSnapshot:
     wave_width_p50: float = 0.0
     shared_row_fraction: float = 0.0
     macs_per_request: float = 0.0
-    cache_subset_hits: int = 0
 
     @property
     def num_shards(self) -> int:
@@ -137,7 +136,6 @@ SUMMED_FIELDS = (
     "result_cache_misses",
     "waves_dispatched",
     "wave_members",
-    "cache_subset_hits",
 )
 #: Width percentiles the fleet view reports as the worst shard's value.
 WORST_SHARD_FIELDS = ("batch_width_p50", "batch_width_p95", "wave_width_p50")

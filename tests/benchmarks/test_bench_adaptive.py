@@ -37,25 +37,23 @@ def test_quick_adaptive_suite_runs_and_asserts(tmp_path):
     record = records[0]
     # Every policy reproduced the sequential results bit-for-bit.
     assert record["all_policies_bit_identical"]
-    assert set(record["policies"]) == {
-        "static",
-        "queue_pressure",
-        "marginal_latency",
-    }
+    assert set(record["policies"]) == {"static", "marginal_latency"}
     for policy in record["policies"].values():
         assert policy["predictions_equal"]
         assert policy["depths_equal"]
         assert policy["macs_equal"]
         assert policy["served_macs"] == pytest.approx(record["sequential_macs"])
-    # The adaptive policy actually adapted on the real server.
-    assert record["policies"]["queue_pressure"]["controller_adjustments"] > 0
     assert record["policies"]["static"]["controller_adjustments"] == 0
     # Virtual-time ramp (dataset-independent, computed once per run):
-    # exact, machine-independent assertions.
+    # exact, machine-independent assertions.  The real-server stream pins
+    # every batch to one width, so the cost line is fitted — and the
+    # adaptive policy seen to adapt — on the ramp's varied widths.
     ramp = report["virtual_ramp"]
-    assert ramp["queue_pressure_beats_static"]
-    assert ramp["queue_pressure_p95_within_slo"]
+    assert ramp["marginal_latency_beats_static"]
+    assert ramp["marginal_latency_p95_within_slo"]
     assert ramp["overload_speedup"] > 1
-    assert set(ramp["curves"]) == {"static", "queue_pressure", "marginal_latency"}
+    assert set(ramp["curves"]) == {"static", "marginal_latency"}
     for curve in ramp["curves"].values():
         assert len(curve) == len(bench_serving.VIRTUAL_BURST_GAPS)
+    assert all(p["controller_adjustments"] > 0 for p in ramp["curves"]["marginal_latency"])
+    assert all(p["controller_adjustments"] == 0 for p in ramp["curves"]["static"])

@@ -47,7 +47,7 @@ def baseline_report():
             {
                 "suite": "adaptive",
                 "all_policies_bit_identical": True,
-                "virtual_ramp": {"queue_pressure_p95_within_slo": True},
+                "virtual_ramp": {"marginal_latency_p95_within_slo": True},
             },
         ],
         "aggregate": {"all_predictions_equal": True, "computed_macs": 123456.0},
@@ -117,7 +117,7 @@ class TestGateFails:
         self, check_bench, baseline_report, tmp_path
     ):
         fresh = copy.deepcopy(baseline_report)
-        fresh["suites"][1]["virtual_ramp"]["queue_pressure_p95_within_slo"] = False
+        fresh["suites"][1]["virtual_ramp"]["marginal_latency_p95_within_slo"] = False
         baseline_dir, fresh_dir = write_pair(tmp_path, baseline_report, fresh)
         assert run_gate(check_bench, baseline_dir, fresh_dir) == 1
 

@@ -126,6 +126,17 @@ class TestSubgraphCacheLRU:
         assert cache.evictions == 1
         assert len(cache) == 2
 
+    def test_part_of_a_cached_batch_is_an_exact_key_miss(self):
+        """Lookups match exact node multisets only: a cached bundle is never
+        sliced to serve a smaller batch it happens to contain."""
+        cache = SubgraphCache(4)
+        batch = np.arange(0, 24, dtype=np.int64)
+        cache.put(support_cache_key(batch, 3), "bundle-stub")
+        assert cache.get(support_cache_key(batch[4:12], 3)) is None
+        counters = cache.counters()
+        assert (counters.hits, counters.misses, counters.entries) == (0, 1, 1)
+        assert cache.get(support_cache_key(batch, 3)) == "bundle-stub"
+
     def test_clear_empties_entries_but_keeps_counters(self):
         cache = SubgraphCache(2)
         key = support_cache_key(np.array([7]), 1)

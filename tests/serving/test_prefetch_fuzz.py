@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import NAIConfig, ServingConfig, ShardConfig
 from repro.core.distance_nap import DistanceNAP
-from repro.exceptions import ServingError
+from repro.exceptions import ServingError, TransportError
 from repro.graph.generators import SyntheticGraphSpec, generate_community_graph
 from repro.models import SGC
 from repro.serving import InferenceServer
@@ -74,9 +74,15 @@ def make_transport(kind: str, store):
             for index in range(2)
         ]
         # Deterministic kill schedule: rail 0 loses shard 0 for rounds
-        # [1, 4), rail 1 loses the last shard for rounds [2, 5).
+        # [1, 4), rail 1 loses the last shard for rounds [2, 5).  The grid's
+        # invariant is that some replica of every shard is always up.  Each
+        # rail counts its own rounds, so on a one-shard fleet concurrent
+        # prefetch rounds could make both windows cover shard 0 at once:
+        # there only rail 0's window is scheduled.  The all-replicas-down
+        # case is tested on purpose in TestAllReplicasDown.
         rails[0].schedule_kill(0, 1, 4, replica_index=0)
-        rails[1].schedule_kill(store.num_shards - 1, 2, 5, replica_index=1)
+        if store.num_shards > 1:
+            rails[1].schedule_kill(store.num_shards - 1, 2, 5, replica_index=1)
         return ReplicatedTransport(rails, retry_policy=FAST_RETRY)
     raise AssertionError(kind)
 
@@ -159,6 +165,39 @@ class TestPrefetchFuzzEquivalence:
         # Distinct node-sets on a cold cache: the pipeline actually ran.
         assert stats.prefetch_issued > 0
         assert stats.prefetch_issued == stats.prefetch_completed
+
+
+class TestAllReplicasDown:
+    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    def test_every_request_fails_cleanly(self, prefetch_depth):
+        """Both replicas of the only shard die for good: every request must
+        resolve with the transport's ``TransportError``, none may hang."""
+        sharded = build_sharded(0, 1)
+        store = sharded.store
+        rails = [
+            FaultInjectingTransport(LocalTransport(store.shards), replica_index=index)
+            for index in range(2)
+        ]
+        for index, rail in enumerate(rails):
+            rail.schedule_kill(0, 0, None, replica_index=index)
+        sharded.use_transport(ReplicatedTransport(rails, retry_policy=FAST_RETRY))
+        rng = np.random.default_rng(5)
+        try:
+            with InferenceServer(
+                sharded.shard_view(0), serving_config(prefetch_depth)
+            ) as server:
+                handles = [
+                    server.submit(rng.permutation(store.num_nodes)[:8])
+                    for _ in range(6)
+                ]
+                for handle in handles:
+                    with pytest.raises(TransportError, match="replica"):
+                        handle.result(timeout=30.0)
+                stats = server.stats()
+        finally:
+            sharded.use_transport(LocalTransport(store.shards))
+        assert stats.requests_failed == len(handles)
+        assert stats.requests_completed == 0
 
 
 class TestPrefetchShutdownFuzz:

@@ -93,6 +93,23 @@ class TestServedEquivalence:
         np.testing.assert_array_equal(depths, sequential.depths[:40])
         assert max(batched) > 1  # coalescing actually happened
 
+    def test_part_of_a_cached_batch_is_built_fresh(self, deployed, tiny_dataset):
+        """A request for some of a cached batch's nodes is a cache miss that
+        builds its own supporting subgraph, with results bit-identical to a
+        sequential run."""
+        ticks = batch_iterator(np.asarray(tiny_dataset.split.test_idx), 32)
+        part = np.sort(ticks[0])[:16]
+        with InferenceServer(deployed, serving_config()) as server:
+            server.submit(ticks[0]).result(timeout=10.0)
+            response = server.submit(part).result(timeout=10.0)
+            stats = server.stats()
+        expected = deployed.predict(part)
+        assert not response.cache_hit
+        assert (stats.cache_hits, stats.cache_misses) == (0, 2)
+        assert response.batch_timings.sampling > 0.0
+        np.testing.assert_array_equal(response.predictions, expected.predictions)
+        np.testing.assert_array_equal(response.depths, expected.depths)
+
     def test_recurring_batches_hit_the_cache(self, deployed, tiny_dataset):
         test_idx = np.asarray(tiny_dataset.split.test_idx)
         ticks = batch_iterator(test_idx, 32) * 3
@@ -138,18 +155,15 @@ class TestServingStats:
     def test_cumulative_and_interval_snapshots_agree_on_every_gauge(
         self, deployed, tiny_dataset
     ):
-        """Regression: ``interval_stats()`` dropped ``cache_subset_hits``."""
+        """Regression: ``interval_stats()`` dropped a cache gauge."""
         test_idx = np.asarray(tiny_dataset.split.test_idx)
         ticks = batch_iterator(test_idx, 32)
-        config = serving_config(result_cache_capacity=4, cache_subset_lookups=True)
+        config = serving_config(result_cache_capacity=4)
         with InferenceServer(deployed, config) as server:
             server.predict_many(ticks)
             server.submit(ticks[0]).result(timeout=10.0)  # a result-cache replay
-            # The first tick's bundle is cached: a subset of it slices, not builds.
-            server.submit(np.sort(ticks[0])[:16]).result(timeout=10.0)
             cumulative = server.stats()
             interval = server.interval_stats()
-        assert cumulative.cache_subset_hits == 1
         assert cumulative.result_cache_hits == 1
         for name in _gauge_fields():
             assert getattr(interval, name) == getattr(cumulative, name), name

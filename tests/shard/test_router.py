@@ -136,10 +136,9 @@ class TestPerShardControllers:
         """Adaptive batching must not couple shard loads: the router builds
         one independent controller per shard and surfaces their state."""
         config = SERVING.with_updates(
-            batch_policy="queue_pressure",
+            batch_policy="marginal_latency",
             batch_size_ceiling=128,
-            pressure_widen_depth=3,
-            pressure_shrink_depth=1,
+            latency_slo_ms=100.0,
         )
         test_idx = tiny_dataset.split.test_idx
         with ShardRouter(sharded, config) as router:
@@ -152,8 +151,8 @@ class TestPerShardControllers:
             state = router.controller_state()
             stats = router.stats()
         assert set(state) == set(range(sharded.num_shards))
-        assert all(s["policy"] == "queue_pressure" for s in state.values())
-        assert stats.batch_policy == "queue_pressure"
+        assert all(s["policy"] == "marginal_latency" for s in state.values())
+        assert stats.batch_policy == "marginal_latency"
         assert stats.controller_adjustments == sum(
             s["adjustments"] for s in state.values()
         )

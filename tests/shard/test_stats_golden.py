@@ -72,11 +72,10 @@ def _gauges(shard_id):
         cache_hits=6 + shard_id,
         cache_misses=2,
         cache_entries=5,
-        cache_subset_hits=1 + shard_id,
         result_cache_hits=3,
         result_cache_misses=5 + shard_id,
         result_cache_entries=2,
-        batch_policy="queue_pressure",
+        batch_policy="marginal_latency",
         controller_adjustments=3 * shard_id,
     )
 

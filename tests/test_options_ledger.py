@@ -8,23 +8,24 @@ evidence that a caller needs it.
 
 import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import MonitorConfig, NAIConfig, ServingConfig, ShardConfig
 from repro.transport import SocketTransport
 
 LEDGER = [
     (
         ServingConfig,
-        18,
+        13,
         {
             "num_workers", "max_batch_size", "max_wait_ms", "batch_policy",
-            "batch_size_ceiling", "wait_ms_ceiling", "pressure_widen_depth",
-            "pressure_shrink_depth", "pressure_levels",
-            "pressure_hold_decisions", "latency_slo_ms", "queue_capacity",
-            "overflow_policy", "cache_capacity", "result_cache_capacity",
-            "prefetch_depth", "wave_width", "cache_subset_lookups",
+            "batch_size_ceiling", "wait_ms_ceiling", "latency_slo_ms",
+            "queue_capacity", "overflow_policy", "cache_capacity",
+            "result_cache_capacity", "prefetch_depth", "wave_width",
         },
     ),
     (
@@ -42,14 +43,14 @@ LEDGER = [
     ),
     (
         MonitorConfig,
-        16,
+        14,
         {
             "window_seconds", "num_buckets", "cadence_seconds", "sample_cap",
             "latency_slo_threshold_seconds", "latency_slo_budget_fraction",
             "error_slo_budget_fraction", "fast_burn_window_seconds",
             "slow_burn_window_seconds", "burn_rate_threshold",
             "alert_for_seconds", "resolve_after_seconds", "min_alert_events",
-            "cooldown_seconds", "rebalance_boost", "rebalance_hot_fraction",
+            "cooldown_seconds",
         },
     ),
 ]
@@ -62,6 +63,32 @@ def test_config_fields_are_the_ledgered_ones(config, count, names):
     settable = {f.name for f in dataclasses.fields(config) if f.init}
     assert settable == names
     assert len(settable) == count
+
+
+def _source_outside_the_config_module() -> str:
+    package = Path(repro.__file__).parent
+    config_module = package / "core" / "config.py"
+    return "\n".join(
+        path.read_text()
+        for path in sorted(package.rglob("*.py"))
+        if path != config_module
+    )
+
+
+@pytest.mark.parametrize(
+    "config", [entry[0] for entry in LEDGER], ids=lambda config: config.__name__
+)
+def test_every_ledgered_field_is_read_by_the_library(config):
+    """A field only the config module mentions is validated and documented
+    but steers nothing: every settable knob must be read as ``.<name>``
+    somewhere else in the package."""
+    source = _source_outside_the_config_module()
+    unread = sorted(
+        f.name
+        for f in dataclasses.fields(config)
+        if f.init and not re.search(rf"\.{f.name}\b", source)
+    )
+    assert unread == [], f"{config.__name__} fields nothing reads: {unread}"
 
 
 def test_socket_transport_keywords_are_the_ledgered_ones():
