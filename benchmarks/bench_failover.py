@@ -47,7 +47,7 @@ import numpy as np
 from repro.core import ServingConfig, ShardConfig
 from repro.experiments import ExperimentProfile
 from repro.experiments.context import TrainedContext, get_context
-from repro.serving import ClusterBuilder
+from repro.serving import ClusterBuilder, SubmitOptions
 from repro.serving.clock import FakeClock
 from repro.shard import GraphPartitioner, ShardRouter, ShardedPredictor
 from repro.transport import (
@@ -205,9 +205,9 @@ def run_rollout_suite(
 
     start = time.perf_counter()
     with ShardRouter(old, serving) as router:
-        in_flight = [router.submit(batch, timeout=300.0) for batch in batches]
+        in_flight = [router.submit(batch, SubmitOptions(timeout=300.0)) for batch in batches]
         router.install_plan(new)
-        after = [router.submit(batch, timeout=300.0) for batch in batches]
+        after = [router.submit(batch, SubmitOptions(timeout=300.0)) for batch in batches]
         old_responses = [handle.result(timeout=300.0) for handle in in_flight]
         new_responses = [handle.result(timeout=300.0) for handle in after]
         retired = router.finish_rollout(timeout=300.0)

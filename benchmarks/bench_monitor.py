@@ -72,7 +72,7 @@ from repro.obs import (
     RebalanceAdvisor,
     SLOEngine,
 )
-from repro.serving import ClusterBuilder
+from repro.serving import ClusterBuilder, SubmitOptions
 from repro.serving.clock import FakeClock
 from repro.shard import GraphPartitioner, ShardRouter, ShardedPredictor
 from repro.transport import OP_FEATURES, LocalTransport, ShardTransport
@@ -210,13 +210,13 @@ def run_monitor_overhead_suite(
             # neither mode.  Results are discarded; the timed pass below
             # serves every request, so equivalence still covers them all.
             for request in requests[:4]:
-                router.submit(request, timeout=600.0).result(timeout=600.0)
+                router.submit(request, SubmitOptions(timeout=600.0)).result(timeout=600.0)
             with _gc_paused():
                 start = time.perf_counter()
                 responses = []
                 for request in requests:
                     responses.append(
-                        router.submit(request, timeout=600.0).result(
+                        router.submit(request, SubmitOptions(timeout=600.0)).result(
                             timeout=600.0
                         )
                     )
@@ -434,7 +434,7 @@ def run_auto_rebalance_suite(
         with router:
             for batch in batches:
                 responses.append(
-                    router.submit(batch, timeout=600.0).result(timeout=600.0)
+                    router.submit(batch, SubmitOptions(timeout=600.0)).result(timeout=600.0)
                 )
                 if monitored:
                     fake.advance(1.0)

@@ -47,7 +47,7 @@ from repro.obs import (
     RebalanceAdvisor,
     SLOEngine,
 )
-from repro.serving import ClusterBuilder
+from repro.serving import ClusterBuilder, SubmitOptions
 from repro.serving.clock import FakeClock
 from repro.shard import GraphPartitioner, ShardRouter, ShardedPredictor
 from repro.transport import OP_FEATURES, LocalTransport, ShardTransport
@@ -198,7 +198,7 @@ def main() -> None:
     last_state = engine.state_of("latency")
     with router:
         for index, batch in enumerate(batches):
-            router.submit(batch, timeout=60.0).result(timeout=60.0)
+            router.submit(batch, SubmitOptions(timeout=60.0)).result(timeout=60.0)
             fake.advance(1.0)
             health = monitor.tick()
             engine.tick(health)

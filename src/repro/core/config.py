@@ -99,13 +99,6 @@ class NAIConfig:
         quantized baseline path; pass ``"float64"`` to restore full
         precision.  Classifier weights stay float64, so logits are computed
         in double precision either way.
-    engine:
-        ``"fused"`` (default) runs the zero-copy masked-SpMM engine with
-        hop-indexed support pruning; ``"reference"`` keeps the naive
-        per-depth submatrix implementation, retained as the equivalence and
-        benchmarking baseline.  The fused engine's masked SpMM picks
-        zero-copy per-run dispatch or row compaction by the mask's run
-        count (:func:`repro.graph.kernels.auto_masked_spmm`).
     """
 
     t_min: int = 1
@@ -113,7 +106,6 @@ class NAIConfig:
     distance_threshold: float = 0.0
     batch_size: int = 500
     dtype: str = "float32"
-    engine: str = "fused"
 
     def __post_init__(self) -> None:
         if self.t_min < 1:
@@ -129,10 +121,6 @@ class NAIConfig:
         if self.dtype not in ("float32", "float64"):
             raise ConfigurationError(
                 f"dtype must be 'float32' or 'float64', got {self.dtype!r}"
-            )
-        if self.engine not in ("fused", "reference"):
-            raise ConfigurationError(
-                f"engine must be 'fused' or 'reference', got {self.engine!r}"
             )
 
     @property
@@ -416,20 +404,11 @@ class MonitorConfig:
     latency_slo_threshold_seconds:
         Per-request latency above this counts against the latency SLO's
         error budget.  ``0`` disables the latency SLO.
-    latency_slo_budget_fraction:
-        Allowed fraction of slow requests (e.g. ``0.05`` ≙ "p95 under
-        threshold").
     error_slo_budget_fraction:
         Allowed fraction of failed requests.  ``0`` disables the error SLO.
-    fast_burn_window_seconds / slow_burn_window_seconds:
-        The two burn-rate windows (Google-SRE multi-window alerting): the
-        fast window reacts, the slow window confirms the burn is sustained.
     burn_rate_threshold:
         Both windows must burn the budget faster than this multiple for the
         alert condition to hold.
-    alert_for_seconds:
-        How long the condition must hold before ``pending`` escalates to
-        ``firing``.
     resolve_after_seconds:
         How long the condition must stay clear before ``firing`` resolves
         (hysteresis against flapping).
@@ -445,12 +424,8 @@ class MonitorConfig:
     cadence_seconds: float = 5.0
     sample_cap: int = 4096
     latency_slo_threshold_seconds: float = 0.0
-    latency_slo_budget_fraction: float = 0.05
     error_slo_budget_fraction: float = 0.0
-    fast_burn_window_seconds: float = 60.0
-    slow_burn_window_seconds: float = 3600.0
     burn_rate_threshold: float = 1.0
-    alert_for_seconds: float = 0.0
     resolve_after_seconds: float = 30.0
     min_alert_events: int = 8
     cooldown_seconds: float = 120.0
@@ -477,37 +452,15 @@ class MonitorConfig:
                 f"latency_slo_threshold_seconds must be non-negative, got "
                 f"{self.latency_slo_threshold_seconds}"
             )
-        for name in ("latency_slo_budget_fraction", "error_slo_budget_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ConfigurationError(
-                    f"{name} must lie in [0, 1), got {value}"
-                )
-        if self.latency_slo_threshold_seconds > 0 and (
-            self.latency_slo_budget_fraction <= 0
-        ):
+        if not 0.0 <= self.error_slo_budget_fraction < 1.0:
             raise ConfigurationError(
-                "a latency SLO needs a positive latency_slo_budget_fraction"
-            )
-        if self.fast_burn_window_seconds <= 0:
-            raise ConfigurationError(
-                f"fast_burn_window_seconds must be positive, got "
-                f"{self.fast_burn_window_seconds}"
-            )
-        if self.slow_burn_window_seconds < self.fast_burn_window_seconds:
-            raise ConfigurationError(
-                "slow_burn_window_seconds must be at least "
-                "fast_burn_window_seconds"
+                f"error_slo_budget_fraction must lie in [0, 1), got "
+                f"{self.error_slo_budget_fraction}"
             )
         if self.burn_rate_threshold <= 0:
             raise ConfigurationError(
                 f"burn_rate_threshold must be positive, got "
                 f"{self.burn_rate_threshold}"
-            )
-        if self.alert_for_seconds < 0:
-            raise ConfigurationError(
-                f"alert_for_seconds must be non-negative, got "
-                f"{self.alert_for_seconds}"
             )
         if self.resolve_after_seconds < 0:
             raise ConfigurationError(

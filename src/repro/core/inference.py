@@ -19,11 +19,11 @@ The same engine with ``policy=None`` implements the vanilla fixed-depth
 inference of the underlying scalable GNN ("NAI w/o NAP" in the ablation) —
 set ``t_min = t_max = k`` to recover the original model exactly.
 
-Hot-path architecture (``engine="fused"``, the default)
--------------------------------------------------------
+Hot-path architecture
+---------------------
 The per-depth cost of Algorithm 1 is dominated by *selecting* and
 *recomputing* the supporting rows that can still influence a not-yet-exited
-target.  The fused engine removes every per-depth allocation from that loop:
+target.  The engine removes every per-depth allocation from that loop:
 
 * The local normalized adjacency is extracted **once per batch**
   (:func:`~repro.graph.kernels.extract_submatrix`) and afterwards only its
@@ -42,11 +42,6 @@ target.  The fused engine removes every per-depth allocation from that loop:
   to thresholding — a BFS runs only when the target set actually changes.
 * The whole path is dtype-parametric: ``NAIConfig.dtype = "float32"`` halves
   the propagation memory traffic, while classification stays float64.
-
-``engine="reference"`` preserves the naive implementation (fresh BFS and
-fancy-indexed submatrix per depth) as an equivalence oracle and benchmark
-baseline; ``benchmarks/bench_hot_path.py`` records the speedup between the
-two in ``BENCH_hot_path.json``.
 
 Worker-ownable engine state
 ---------------------------
@@ -210,7 +205,7 @@ class BatchEngine:
     feature matrix, the normalized adjacency, the stationary vectors and the
     trained classifiers — with its :class:`NAIPredictor` (and with every
     sibling engine), while owning the **mutable** hot-path state privately:
-    the grow-only double propagation buffers that the fused engine writes
+    the grow-only double propagation buffers that :meth:`run_batch` writes
     into.  That split is what makes engines worker-ownable: the serving
     layer's pool gives each worker its own engine, so concurrent batches
     never contend on scratch memory, and merging the per-engine
@@ -232,16 +227,8 @@ class BatchEngine:
         stationary: StationaryState,
     ) -> None:
         # graph/features/a_hat may be None for engines whose sampling is
-        # served elsewhere (repro.shard overrides build_support and runs the
-        # fused path, which reads only the stationary state and the bundle).
-        if (graph is None or features is None or a_hat is None) and (
-            config.engine != "fused"
-        ):
-            raise ConfigurationError(
-                "an engine without the full graph/features/Â requires "
-                "engine='fused' (the reference engine resamples from the "
-                "in-process graph every depth)"
-            )
+        # served elsewhere (repro.shard overrides build_support; run_batch
+        # reads only the stationary state and the bundle).
         self.classifiers = list(classifiers)
         self.policy = policy
         self.config = config
@@ -251,7 +238,7 @@ class BatchEngine:
         self.stationary = stationary
         for classifier in self.classifiers:
             classifier.eval()
-        # Grow-only double buffers reused across batches (fused engine only).
+        # Grow-only double buffers reused across batches.
         self._buffer_a: np.ndarray | None = None
         self._buffer_b: np.ndarray | None = None
         #: Batches executed by this engine (used by pool-utilisation stats).
@@ -275,27 +262,6 @@ class BatchEngine:
     # ------------------------------------------------------------------ #
     # One batch of Algorithm 1
     # ------------------------------------------------------------------ #
-    def run_batch(
-        self,
-        batch: np.ndarray,
-        *,
-        keep_logits: bool = False,
-        bundle: SupportBundle | None = None,
-    ) -> InferenceResult:
-        """Classify one batch, optionally reusing a pre-built support bundle."""
-        batch = np.asarray(batch, dtype=np.int64)
-        if batch.size == 0:
-            raise ConfigurationError("run_batch requires at least one node")
-        self.batches_run += 1
-        if self.config.engine == "reference":
-            if bundle is not None:
-                raise ConfigurationError(
-                    "the reference engine rebuilds sampling per depth and "
-                    "cannot reuse a SupportBundle"
-                )
-            return self._run_reference(batch, keep_logits=keep_logits)
-        return self._run_fused(batch, keep_logits=keep_logits, bundle=bundle)
-
     def _batch_stationary(
         self, batch: np.ndarray, macs: MACBreakdown, timings: TimingBreakdown
     ) -> np.ndarray:
@@ -330,14 +296,22 @@ class BatchEngine:
         assert self._buffer_b is not None
         return self._buffer_a[:num_local], self._buffer_b[:num_local]
 
-    def _run_fused(
+    def run_batch(
         self,
         batch: np.ndarray,
         *,
-        keep_logits: bool,
-        bundle: SupportBundle | None,
+        keep_logits: bool = False,
+        bundle: SupportBundle | None = None,
     ) -> InferenceResult:
-        """Zero-copy masked-SpMM engine with hop-indexed support pruning."""
+        """Classify one batch, optionally reusing a pre-built support bundle.
+
+        Zero-copy masked-SpMM propagation with hop-indexed support pruning
+        (see the module docstring).
+        """
+        batch = np.asarray(batch, dtype=np.int64)
+        if batch.size == 0:
+            raise ConfigurationError("run_batch requires at least one node")
+        self.batches_run += 1
         cfg = self.config
         num_features = self.stationary.num_features
         macs = MACBreakdown()
@@ -452,148 +426,6 @@ class BatchEngine:
             max_depth=cfg.t_max,
             logits=logits_store,
         )
-
-    def _legacy_support(self, batch: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
-        """Seed-faithful supporting-node sampling for the reference engine.
-
-        Replicates the pre-optimisation pipeline exactly — per-hop scipy row
-        slicing with ``np.unique`` deduplication, a Python-dict local index,
-        and two fancy-indexed ``[ids][:, ids]`` submatrix extractions (the
-        local graph adjacency that the seed built and discarded, plus the
-        normalized adjacency the loop actually propagates) — so that
-        ``benchmarks/bench_hot_path.py`` measures against the true
-        pre-change baseline rather than one sped up by the shared sampling
-        improvements.
-        """
-        adjacency = self.graph.adjacency
-        visited = np.zeros(self.graph.num_nodes, dtype=bool)
-        frontier = np.unique(batch)
-        visited[frontier] = True
-        order = [frontier]
-        for _ in range(depth):
-            if frontier.size == 0:
-                break
-            neighbor_ids = adjacency[frontier].indices
-            new = np.unique(neighbor_ids[~visited[neighbor_ids]])
-            if new.size == 0:
-                frontier = new
-                continue
-            visited[new] = True
-            order.append(new)
-            frontier = new
-        node_ids = np.concatenate(order)
-        local_index = {int(g): i for i, g in enumerate(node_ids)}
-        target_local = np.asarray([local_index[int(t)] for t in batch], dtype=np.int64)
-        adjacency[node_ids][:, node_ids].tocsr()  # the seed built (and never used) this
-        local_adj = self.a_hat[node_ids][:, node_ids].tocsr()
-        return node_ids, target_local, local_adj
-
-    def _run_reference(self, batch: np.ndarray, *, keep_logits: bool) -> InferenceResult:
-        """The naive engine: per-depth BFS + fancy-indexed CSR submatrices.
-
-        Kept verbatim as the equivalence oracle for the fused engine and as
-        the baseline that ``benchmarks/bench_hot_path.py`` measures against.
-        """
-        cfg = self.config
-        num_features = self.features.shape[1]
-        macs = MACBreakdown()
-        timings = TimingBreakdown()
-
-        stationary_batch = self._batch_stationary(batch, macs, timings)
-
-        # Line 3: supporting-node sampling up to T_max hops (seed-faithful).
-        start = time.perf_counter()
-        node_ids, target_local, local_adj = self._legacy_support(batch, cfg.t_max)
-        timings.sampling += time.perf_counter() - start
-
-        local_features = self.features[node_ids]
-
-        predictions = np.full(batch.shape[0], -1, dtype=np.int64)
-        assigned_depth = np.zeros(batch.shape[0], dtype=np.int64)
-        logits_store: dict[int, np.ndarray] = {}
-        remaining = np.arange(batch.shape[0])
-
-        # Per-depth history of the *batch rows* only (needed by SIGN/S2GC/GAMLP).
-        target_history: list[np.ndarray] = [local_features[target_local].copy()]
-
-        current = local_features
-
-        for depth in range(1, cfg.t_max + 1):
-            # Which local rows can still influence a remaining target within
-            # the depths left to run?  (BFS from the remaining targets.)
-            remaining_depths = cfg.t_max - depth
-            needed_rows = self._rows_needed(local_adj, target_local[remaining], remaining_depths)
-
-            start = time.perf_counter()
-            updated = np.array(current, copy=True)
-            rows = np.flatnonzero(needed_rows)
-            partial = local_adj[rows] @ current
-            updated[rows] = partial
-            current = updated
-            timings.propagation += time.perf_counter() - start
-            macs.propagation += float(local_adj[rows].nnz) * num_features
-
-            target_history.append(current[target_local].copy())
-
-            if depth < cfg.t_min:
-                continue
-
-            if depth < cfg.t_max and self.policy is not None and remaining.size:
-                start = time.perf_counter()
-                propagated_remaining = current[target_local[remaining]]
-                stationary_remaining = stationary_batch[remaining]
-                exits = self.policy.should_exit(propagated_remaining, stationary_remaining, depth)
-                timings.decision += time.perf_counter() - start
-                macs.decision += self.policy.decision_macs_per_node(num_features) * remaining.size
-
-                exiting = remaining[exits]
-                if exiting.size:
-                    self._classify(
-                        exiting, depth, target_history, predictions, assigned_depth,
-                        logits_store, batch, macs, timings, keep_logits,
-                    )
-                    remaining = remaining[~exits]
-            elif depth == cfg.t_max and remaining.size:
-                self._classify(
-                    remaining, depth, target_history, predictions, assigned_depth,
-                    logits_store, batch, macs, timings, keep_logits,
-                )
-                remaining = remaining[:0]
-
-            if remaining.size == 0:
-                break
-
-        return InferenceResult(
-            node_ids=batch,
-            predictions=predictions,
-            depths=assigned_depth,
-            macs=macs,
-            timings=timings,
-            max_depth=cfg.t_max,
-            logits=logits_store,
-        )
-
-    @staticmethod
-    def _rows_needed(
-        local_adj: sp.csr_matrix,
-        target_rows: np.ndarray,
-        remaining_depth: int,
-    ) -> np.ndarray:
-        """Local rows within ``remaining_depth`` hops of the remaining targets."""
-        num_local = local_adj.shape[0]
-        needed = np.zeros(num_local, dtype=bool)
-        if target_rows.size == 0:
-            return needed
-        needed[target_rows] = True
-        frontier = np.unique(target_rows)
-        for _ in range(remaining_depth):
-            if frontier.size == 0:
-                break
-            neighbors = local_adj[frontier].indices
-            new = np.unique(neighbors[~needed[neighbors]])
-            needed[new] = True
-            frontier = new
-        return needed
 
     def _classify(
         self,

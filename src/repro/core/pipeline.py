@@ -167,14 +167,12 @@ class NAI:
         distance_threshold: float = 0.0,
         batch_size: int = 500,
         dtype: str = "float32",
-        engine: str = "fused",
     ) -> NAIConfig:
         """Build an :class:`NAIConfig` validated against the backbone depth.
 
         ``dtype`` selects the floating precision of the propagation hot path
         (the ``"float32"`` default halves its memory traffic; pass
-        ``"float64"`` for full precision); ``engine`` switches between the
-        zero-copy ``"fused"`` engine and the naive ``"reference"`` one.
+        ``"float64"`` for full precision).
         """
         depth = self.backbone.depth if t_max is None else t_max
         config = NAIConfig(
@@ -183,7 +181,6 @@ class NAI:
             distance_threshold=distance_threshold,
             batch_size=batch_size,
             dtype=dtype,
-            engine=engine,
         )
         return config.validated_against_depth(self.backbone.depth)
 

@@ -380,13 +380,12 @@ def slos_from_config(config: MonitorConfig) -> list[SLO]:
 
     A latency SLO when ``latency_slo_threshold_seconds > 0`` and an
     error-rate SLO when ``error_slo_budget_fraction > 0``; both share the
-    config's burn windows, threshold and lifecycle timings.
+    config's burn-rate threshold, resolve hysteresis and event floor.  The
+    latency budget, burn windows and pending hold keep the :class:`SLO`
+    defaults.
     """
     common = dict(
-        fast_window_seconds=config.fast_burn_window_seconds,
-        slow_window_seconds=config.slow_burn_window_seconds,
         burn_rate_threshold=config.burn_rate_threshold,
-        for_seconds=config.alert_for_seconds,
         resolve_after_seconds=config.resolve_after_seconds,
         min_events=config.min_alert_events,
     )
@@ -397,7 +396,6 @@ def slos_from_config(config: MonitorConfig) -> list[SLO]:
                 name="latency",
                 objective="latency",
                 threshold_seconds=config.latency_slo_threshold_seconds,
-                budget_fraction=config.latency_slo_budget_fraction,
                 **common,
             )
         )

@@ -46,7 +46,7 @@ from .queue import (
     SubmitOptions,
 )
 from .server import InferenceServer
-from .cluster import Cluster, ClusterBuilder
+from .cluster import ClusterBuilder
 from .wave import WaveAttribution, WaveResult, attribute_wave_macs, execute_wave
 from .simulator import (
     LinearServiceModel,
@@ -66,7 +66,6 @@ __all__ = [
     "CacheCounters",
     "CachedResult",
     "Clock",
-    "Cluster",
     "ClusterBuilder",
     "FakeClock",
     "InferenceRequest",

@@ -6,7 +6,7 @@ rails, feature tiers, tracer), then wrap a :class:`~repro.shard.ShardRouter`
 around it.  :class:`ClusterBuilder` is the one public way to do that, behind
 one declarative chain::
 
-    cluster = (
+    router = (
         ClusterBuilder(predictor)
         .graph(graph, features)
         .shards(4)
@@ -16,14 +16,14 @@ one declarative chain::
         .wave(width=4)
         .build()
     )
-    with cluster:
-        responses = cluster.predict_many(request_stream)
+    with router:
+        responses = router.predict_many(request_stream)
 
 Every step records intent; nothing touches the predictor until
 :meth:`ClusterBuilder.build`, which applies the steps in dependency order
-(prepare → transport → feature tiers → router) and returns a
-:class:`Cluster` — a thin lifecycle wrapper over the router.  The store's
-own setters are internal; the one other supported hook is
+(prepare → transport → feature tiers → router) and returns the
+:class:`~repro.shard.ShardRouter` itself.  The store's own setters are
+internal; the one other supported hook is
 :meth:`~repro.shard.ShardedPredictor.use_transport`, for swapping the fetch
 backend of an already-prepared predictor.
 """
@@ -36,14 +36,12 @@ from typing import TYPE_CHECKING
 from ..core.config import ServingConfig, ShardConfig
 from ..exceptions import ConfigurationError
 from ..obs.registry import MetricsRegistry
-from .queue import SubmitOptions
 
 if TYPE_CHECKING:  # runtime imports are lazy — repro.shard imports this package
     from ..shard.predictor import ShardedPredictor
-    from ..shard.router import RoutedRequest, RoutedResponse, ShardRouter
-    from ..shard.stats import ShardedStatsSnapshot
+    from ..shard.router import ShardRouter
 
-__all__ = ["Cluster", "ClusterBuilder"]
+__all__ = ["ClusterBuilder"]
 
 
 class ClusterBuilder:
@@ -52,7 +50,7 @@ class ClusterBuilder:
     Each chained call stores a declaration and returns ``self``;
     :meth:`build` materializes the fleet.  A builder is single-shot —
     reusing it after ``build()`` raises, because the predictor it
-    configured is now owned by the returned :class:`Cluster`.
+    configured is now owned by the returned router.
     """
 
     def __init__(
@@ -96,7 +94,8 @@ class ClusterBuilder:
 
         The versioned-rollout path: prepare the successor deployment onto
         ``plan`` (typically ``active_plan.with_version(...)``) and hand the
-        built cluster's predictor to :meth:`Cluster.install_plan`.
+        built predictor to the live router's
+        :meth:`~repro.shard.ShardRouter.install_plan`.
         """
         self._plan = plan
         return self
@@ -175,8 +174,8 @@ class ClusterBuilder:
         self._built = True
         return predictor
 
-    def build(self) -> "Cluster":
-        """Apply the declarations in dependency order; returns the fleet."""
+    def build(self) -> "ShardRouter":
+        """Apply the declarations in dependency order; returns the fleet's router."""
         predictor = self._configure_predictor()
         serving_config = (
             self._serving_config
@@ -195,13 +194,13 @@ class ClusterBuilder:
             registry=self._registry,
         )
         self._built = True
-        return Cluster(router)
+        return router
 
     def _configure_predictor(self) -> "ShardedPredictor":
         """Prepare the predictor and wire its store per the declarations."""
         if self._built:
             raise ConfigurationError(
-                "this ClusterBuilder already built a Cluster; create a new "
+                "this ClusterBuilder already built its fleet; create a new "
                 "builder per fleet"
             )
         if self._transport is not None and self._replicated is not None:
@@ -252,80 +251,3 @@ class ClusterBuilder:
             store._set_tiered_features(**self._tiered)
         return predictor
 
-
-class Cluster:
-    """A built serving fleet: lifecycle wrapper over a :class:`ShardRouter`.
-
-    Everything request-shaped delegates to the router; the wrapper adds
-    nothing but a stable handle that a ``with`` block can own.  Reach the
-    underlying layers through :attr:`router`, :attr:`predictor` and
-    :attr:`store` when a test or an operator tool needs them.
-    """
-
-    def __init__(self, router: ShardRouter) -> None:
-        self.router = router
-
-    # -- composition roots ---------------------------------------------- #
-    @property
-    def predictor(self) -> ShardedPredictor:
-        return self.router.predictor
-
-    @property
-    def store(self):
-        return self.router.predictor.store
-
-    @property
-    def servers(self) -> dict:
-        return self.router.servers
-
-    @property
-    def plan_version(self) -> int:
-        return self.router.plan_version
-
-    # -- request surface ------------------------------------------------- #
-    def submit(
-        self, node_ids, options: SubmitOptions | None = None, **kwargs
-    ) -> RoutedRequest:
-        return self.router.submit(node_ids, options, **kwargs)
-
-    def predict_many(self, batches, *, timeout=None) -> "list[RoutedResponse]":
-        return self.router.predict_many(batches, timeout=timeout)
-
-    def drain(self, timeout=None) -> None:
-        self.router.drain(timeout=timeout)
-
-    # -- observability ---------------------------------------------------- #
-    def stats(self) -> ShardedStatsSnapshot:
-        return self.router.stats()
-
-    def interval_stats(self, *, reset: bool = True) -> dict:
-        return self.router.interval_stats(reset=reset)
-
-    def traffic(self) -> dict:
-        return self.router.traffic()
-
-    def metrics_text(self) -> str:
-        return self.router.metrics_text()
-
-    def controller_state(self) -> dict:
-        return self.router.controller_state()
-
-    # -- rollout ---------------------------------------------------------- #
-    def install_plan(self, predictor: ShardedPredictor) -> int:
-        return self.router.install_plan(predictor)
-
-    def finish_rollout(self, timeout=None) -> int:
-        return self.router.finish_rollout(timeout=timeout)
-
-    def rollout_state(self) -> "list[dict]":
-        return self.router.rollout_state()
-
-    # -- lifecycle --------------------------------------------------------- #
-    def close(self) -> None:
-        self.router.close()
-
-    def __enter__(self) -> "Cluster":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -126,24 +126,16 @@ class InferenceServer:
         #: injected — tests and the shard router use that to share or pre-wire policies).
         self.controller = controller if controller is not None else build_controller(self.config)
         self.batcher = MicroBatcher(self.queue, controller=self.controller, clock=self.clock)
-        # Bundle reuse and the wave attribution replay both walk one pre-built
-        # bundle per sweep, which only the fused engine consumes (the
-        # reference engine resamples per depth).
-        fused = predictor.config.engine == "fused"
         self.cache: SubgraphCache | None = None
-        if self.config.cache_capacity > 0 and fused:
+        if self.config.cache_capacity > 0:
             self.cache = SubgraphCache(self.config.cache_capacity)
         if self.config.prefetch_depth > 0 and self.cache is None:
             raise ConfigurationError(
-                "prefetch_depth > 0 requires the supporting-subgraph cache: "
-                "the fused engine and cache_capacity > 0"
+                "prefetch_depth > 0 requires the supporting-subgraph cache "
+                "(cache_capacity > 0)"
             )
-        if self.config.wave_width > 1 and not fused:
-            raise ConfigurationError(
-                "wave_width > 1 requires the fused engine (NAIConfig.engine='fused')"
-            )
-        # The opt-in result cache replays recorded per-node outputs for exact canonical
-        # node-set repeats; it exchanges plain arrays only, so it works with every engine.
+        # The opt-in result cache replays recorded per-node outputs for exact
+        # canonical node-set repeats.
         self.result_cache: ResultCache | None = None
         if self.config.result_cache_capacity > 0:
             self.result_cache = ResultCache(self.config.result_cache_capacity)
@@ -183,34 +175,23 @@ class InferenceServer:
         self,
         node_ids: np.ndarray,
         options: SubmitOptions | None = None,
-        *,
-        timeout: float | None = None,
-        trace_parent=NEW_TRACE,
-        tenant: str | None = None,
     ) -> InferenceRequest:
         """Enqueue one request; returns its handle immediately.
 
         Per-request options travel in one :class:`~repro.serving.queue.
         SubmitOptions` — the same object :meth:`repro.shard.ShardRouter.
         submit` accepts, so call sites survive a single-server-to-fleet
-        swap unchanged.  The legacy ``timeout=``/``trace_parent=`` (and
-        ``tenant=``) keywords still work when no ``options`` is given;
-        mixing both surfaces raises.
+        swap unchanged.
 
         Raises :class:`~repro.exceptions.BackpressureError` under the
         ``"reject"`` overflow policy (or after ``options.timeout`` under
-        ``"block"``) when the queue is full.  ``trace_parent`` nests the
-        request's trace under an existing context (the shard router's
+        ``"block"``) when the queue is full.  ``options.trace_parent`` nests
+        the request's trace under an existing context (the shard router's
         ``route`` span) instead of starting a fresh sampled trace; pass an
         explicit ``None`` to mark the request as sampled out upstream.
         """
         if options is None:
-            options = SubmitOptions(timeout=timeout, trace_parent=trace_parent, tenant=tenant)
-        elif timeout is not None or trace_parent is not NEW_TRACE or tenant is not None:
-            raise ConfigurationError(
-                "pass either a SubmitOptions or the legacy "
-                "timeout/trace_parent/tenant keywords, not both"
-            )
+            options = SubmitOptions()
         if not self._accepting:
             raise ServingError("the server is closed to new requests")
         trace = None
@@ -242,7 +223,8 @@ class InferenceServer:
         ``timeout`` bounds each step: the submit (a full queue under the
         ``"block"`` policy raises after waiting this long) and each result.
         """
-        handles = [self.submit(batch, timeout=timeout) for batch in batches]
+        options = SubmitOptions(timeout=timeout)
+        handles = [self.submit(batch, options) for batch in batches]
         return [handle.result(timeout=timeout) for handle in handles]
 
     def drain(self, timeout: float | None = None) -> None:

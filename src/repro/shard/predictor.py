@@ -128,11 +128,6 @@ class ShardedPredictor:
             config if config is not None else NAIConfig(t_min=self.depth, t_max=self.depth)
         )
         self.config.validated_against_depth(self.depth)
-        if self.config.engine != "fused":
-            raise ConfigurationError(
-                "sharded inference requires engine='fused' (the reference "
-                "engine resamples from a full in-process graph)"
-            )
         self._store: ShardedGraphStore | None = None
         self._stationary: ShardedStationaryState | None = None
         self._engines: list[ShardEngine] = []

@@ -36,6 +36,7 @@ the unsharded predictor, a rollout can change *placement* but never
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -115,13 +116,21 @@ class RoutedRequest:
         return all(handle.done() for _, _, handle in self._parts)
 
     def result(self, timeout: float | None = None) -> RoutedResponse:
-        """Block for every shard's answer and reassemble request order."""
+        """Block for every shard's answer and reassemble request order.
+
+        ``timeout`` bounds the whole fan-in, not each part: every part
+        waits only for what remains of one deadline taken on entry.
+        """
         predictions = np.empty(self.node_ids.shape[0], dtype=np.int64)
         depths = np.empty(self.node_ids.shape[0], dtype=np.int64)
         per_shard: dict[int, ServingResponse] = {}
         latency = 0.0
+        # Handles wait on threading events, which run on the monotonic
+        # wall clock whatever clock the servers stamp with.
+        deadline = None if timeout is None else time.monotonic() + timeout
         for shard_id, positions, handle in self._parts:
-            response = handle.result(timeout=timeout)
+            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+            response = handle.result(timeout=remaining)
             predictions[positions] = response.predictions
             depths[positions] = response.depths
             per_shard[shard_id] = response
@@ -265,6 +274,11 @@ class ShardRouter:
         return self._active.predictor
 
     @property
+    def store(self):
+        """The active generation's :class:`~repro.shard.ShardedGraphStore`."""
+        return self._active.predictor.store
+
+    @property
     def controllers(self) -> dict:
         return self._active.controllers
 
@@ -338,27 +352,17 @@ class ShardRouter:
         self,
         node_ids: np.ndarray,
         options: SubmitOptions | None = None,
-        *,
-        timeout: float | None = None,
-        tenant: str | None = None,
     ) -> RoutedRequest:
         """Split ``node_ids`` by owner and enqueue on the owning servers.
 
         Accepts the same :class:`~repro.serving.queue.SubmitOptions` as
         :meth:`repro.serving.InferenceServer.submit` — swap a single
-        server for a routed fleet without touching call sites.  The
-        ``timeout``/``tenant`` keywords remain as a compatibility shim
-        when no ``options`` is given; ``options.trace_parent`` nests the
-        router's ``route`` span under an upstream context (``None`` opts
-        the whole fan-out out of tracing).
+        server for a routed fleet without touching call sites.
+        ``options.trace_parent`` nests the router's ``route`` span under an
+        upstream context (``None`` opts the whole fan-out out of tracing).
         """
         if options is None:
-            options = SubmitOptions(timeout=timeout, tenant=tenant)
-        elif timeout is not None or tenant is not None:
-            raise ConfigurationError(
-                "pass either a SubmitOptions or the legacy timeout/tenant "
-                "keywords, not both"
-            )
+            options = SubmitOptions()
         with self._plan_lock:
             if self._closed:
                 raise ServingError("the shard router is closed")
@@ -421,7 +425,8 @@ class ShardRouter:
         shard queue under the ``"block"`` policy raises instead of waiting
         forever) and every result gather.
         """
-        handles = [self.submit(batch, timeout=timeout) for batch in batches]
+        options = SubmitOptions(timeout=timeout)
+        handles = [self.submit(batch, options) for batch in batches]
         return [handle.result(timeout=timeout) for handle in handles]
 
     def drain(self, timeout: float | None = None) -> None:

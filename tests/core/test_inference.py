@@ -7,6 +7,8 @@ from repro.core import NAIConfig, NAIPredictor
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.graph import propagate_features
 
+from oracle import oracle_predict
+
 
 @pytest.fixture(scope="module")
 def deployed(trained_nai, tiny_dataset):
@@ -162,27 +164,54 @@ class TestAdaptiveInference:
         assert result.macs.feature_processing < result.macs.total
 
 
-class TestEngineAndDtypeEquivalence:
-    """The fused zero-copy engine must reproduce the reference engine exactly."""
+def assert_matches_oracle(result, expected):
+    """Exact agreement with the oracle: predictions, depths and MAC totals."""
+    np.testing.assert_array_equal(result.predictions, expected.predictions)
+    np.testing.assert_array_equal(result.depths, expected.depths)
+    assert result.macs.total == expected.macs.total
+    assert result.macs.propagation == expected.macs.propagation
 
+
+class TestEngineAndDtypeEquivalence:
+    """The shipped engine must reproduce the naive reference oracle exactly."""
+
+    @pytest.mark.parametrize("batch_size", [7, 500])
+    @pytest.mark.parametrize("t_min", [1, 2, 3])
     @pytest.mark.parametrize("policy", ["none", "distance", "gate"])
-    def test_fused_matches_reference(self, trained_nai, tiny_dataset, policy):
+    def test_engine_matches_oracle(self, trained_nai, tiny_dataset, policy, t_min, batch_size):
         kwargs = {}
         if policy == "distance":
             kwargs["distance_threshold"] = trained_nai.suggest_distance_threshold(0.6)
+        predictor = trained_nai.build_predictor(
+            policy=policy,
+            config=trained_nai.inference_config(t_min=t_min, batch_size=batch_size, **kwargs),
+        ).prepare(tiny_dataset.graph, tiny_dataset.features)
         test_idx = tiny_dataset.split.test_idx
-        results = {}
-        for engine in ("reference", "fused"):
-            predictor = trained_nai.build_predictor(
+        result = predictor.predict(test_idx)
+        expected = oracle_predict(predictor, test_idx)
+        assert_matches_oracle(result, expected)
+        if policy != "none" and t_min < predictor.config.t_max:
+            # The grid must exercise early exit, not only the fixed-depth path.
+            assert expected.depths.min() < predictor.config.t_max
+
+    @pytest.mark.parametrize("policy", ["none", "distance", "gate"])
+    def test_float32_engine_matches_float64_oracle(self, trained_nai, tiny_dataset, policy):
+        """The shipped precision against the seed's full-precision path."""
+        kwargs = {}
+        if policy == "distance":
+            kwargs["distance_threshold"] = trained_nai.suggest_distance_threshold(0.6)
+        predictors = {
+            dtype: trained_nai.build_predictor(
                 policy=policy,
-                config=trained_nai.inference_config(engine=engine, **kwargs),
+                config=trained_nai.inference_config(dtype=dtype, **kwargs),
             ).prepare(tiny_dataset.graph, tiny_dataset.features)
-            results[engine] = predictor.predict(test_idx)
-        ref, fused = results["reference"], results["fused"]
-        assert np.array_equal(ref.predictions, fused.predictions)
-        assert np.array_equal(ref.depths, fused.depths)
-        assert ref.macs.total == pytest.approx(fused.macs.total)
-        assert ref.macs.propagation == pytest.approx(fused.macs.propagation)
+            for dtype in ("float32", "float64")
+        }
+        test_idx = tiny_dataset.split.test_idx
+        assert_matches_oracle(
+            predictors["float32"].predict(test_idx),
+            oracle_predict(predictors["float64"], test_idx),
+        )
 
     @pytest.mark.parametrize("policy", ["none", "distance"])
     def test_float32_matches_float64_predictions(self, trained_nai, tiny_dataset, policy):
@@ -218,9 +247,3 @@ class TestEngineAndDtypeEquivalence:
 
         with pytest.raises(ConfigurationError):
             NAIConfig(dtype="float16")
-
-    def test_invalid_engine_rejected(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            NAIConfig(engine="turbo")

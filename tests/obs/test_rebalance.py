@@ -21,7 +21,7 @@ from repro.obs import (
     RebalanceAdvisor,
     SLOEngine,
 )
-from repro.serving import ClusterBuilder
+from repro.serving import ClusterBuilder, SubmitOptions
 from repro.serving.clock import FakeClock
 from repro.shard import GraphPartitioner, ShardRouter, ShardedPredictor
 from repro.transport import OP_FEATURES, LocalTransport, ShardTransport
@@ -345,7 +345,7 @@ class TestAutoRebalanceEndToEnd:
         with router:
             for batch in batches:
                 responses.append(
-                    router.submit(batch, timeout=60.0).result(timeout=60.0)
+                    router.submit(batch, SubmitOptions(timeout=60.0)).result(timeout=60.0)
                 )
                 fake.advance(1.0)
                 health = monitor.tick()

@@ -190,16 +190,6 @@ class TestBundleReuse:
         bundle = bundle_for(deployed, np.asarray(tiny_dataset.split.test_idx[:10]))
         assert bundle.support.global_to_local is None
 
-    def test_reference_engine_rejects_bundles(self, trained_nai, tiny_dataset):
-        predictor = trained_nai.build_predictor(
-            policy="none", config=trained_nai.inference_config(engine="reference")
-        )
-        predictor.prepare(tiny_dataset.graph, tiny_dataset.features)
-        batch = np.asarray(tiny_dataset.split.test_idx[:5])
-        bundle = bundle_for(predictor, batch)
-        with pytest.raises(ConfigurationError):
-            predictor.make_engine().run_batch(batch, bundle=bundle)
-
 
 class TestPeek:
     def test_peek_refreshes_recency_without_counting(self):

@@ -15,7 +15,8 @@ from repro.core.distance_nap import DistanceNAP
 from repro.exceptions import ConfigurationError
 from repro.graph.generators import SyntheticGraphSpec, generate_community_graph
 from repro.models import SGC
-from repro.serving import Cluster, ClusterBuilder
+from repro.serving import ClusterBuilder
+from repro.shard import ShardRouter
 from repro.transport import FaultInjectingTransport, LocalTransport
 
 
@@ -57,7 +58,7 @@ class TestBuildPaths:
             .shards(2)
             .build()
         )
-        assert isinstance(cluster, Cluster)
+        assert isinstance(cluster, ShardRouter)
         ids = np.arange(0, 48, dtype=np.int64)
         with cluster:
             routed = cluster.submit(ids).result(timeout=30.0)

@@ -13,6 +13,8 @@ from repro.graph.sampling import batch_iterator
 from repro.serving import InferenceServer
 from repro.serving.stats import _gauge_fields
 
+from oracle import oracle_engine
+
 
 @pytest.fixture(scope="module")
 def deployed(trained_nai, tiny_dataset):
@@ -76,6 +78,34 @@ class TestServedEquivalence:
         per_batch = {r.batch_id: r.batch_macs for r in responses}
         macs = sum(m.total for m in per_batch.values())
         assert macs == pytest.approx(sequential.macs.total, abs=1e-6)
+
+    def test_waves_and_prefetch_match_the_reference_oracle(self, deployed, tiny_dataset):
+        """Wave fusion and background fetch change cost, never answers."""
+        ticks = batch_iterator(np.asarray(tiny_dataset.split.test_idx), 32)
+        oracle = oracle_engine(deployed)
+        expected = [oracle.run_batch(tick) for tick in ticks]
+        config = serving_config(wave_width=4, prefetch_depth=2)
+        with InferenceServer(deployed, config) as server:
+            # One request in flight at a time: every sweep is a wave of one,
+            # so each response carries its whole batch's MACs.
+            one_by_one = [server.submit(tick).result(timeout=30) for tick in ticks]
+            # A burst: ready micro-batches may fuse into union sweeps.
+            burst = server.predict_many(ticks, timeout=30)
+            stats = server.stats()
+        for responses in (one_by_one, burst):
+            for response, oracle_result in zip(responses, expected):
+                np.testing.assert_array_equal(response.predictions, oracle_result.predictions)
+                np.testing.assert_array_equal(response.depths, oracle_result.depths)
+        oracle_macs = sum(result.macs.total for result in expected)
+        assert [r.wave_width for r in one_by_one] == [1] * len(ticks)
+        assert sum(r.batch_macs.total for r in one_by_one) == oracle_macs
+        # Fused sweeps deduplicate shared rows: never more than isolated.
+        burst_macs = sum({r.batch_id: r.batch_macs.total for r in burst}.values())
+        assert burst_macs <= oracle_macs
+        if all(r.wave_width == 1 for r in burst):
+            assert burst_macs == oracle_macs
+        assert stats.requests_completed == 2 * len(ticks)
+        assert stats.prefetch_issued > 0
 
     def test_coalesced_single_node_requests_match_sequential(
         self, deployed, sequential, tiny_dataset

@@ -3,9 +3,8 @@
 Both :meth:`repro.serving.InferenceServer.submit` and
 :meth:`repro.shard.ShardRouter.submit` accept the same
 :class:`~repro.serving.SubmitOptions` — a caller can swap a single server
-for a routed fleet without touching call sites.  The legacy keyword
-arguments remain as a compatibility shim, but mixing the two spellings in
-one call is ambiguous and raises.
+for a routed fleet without touching call sites.  It is the only way to
+pass a per-request timeout, trace parent or tenant.
 """
 
 import numpy as np
@@ -13,7 +12,6 @@ import pytest
 
 from repro.core import NAIConfig, ServingConfig, ShardConfig
 from repro.core.distance_nap import DistanceNAP
-from repro.exceptions import ConfigurationError
 from repro.graph.generators import SyntheticGraphSpec, generate_community_graph
 from repro.models import SGC
 from repro.serving import InferenceServer, SubmitOptions
@@ -61,32 +59,21 @@ def serving_config(**overrides) -> ServingConfig:
 
 
 class TestServerSubmitOptions:
-    def test_options_and_legacy_keywords_are_equivalent(self, deployed):
+    def test_tenant_is_echoed_on_the_response(self, deployed):
         ids = np.arange(8)
         with InferenceServer(deployed, serving_config()) as server:
-            via_options = server.submit(
+            response = server.submit(
                 ids, SubmitOptions(timeout=10.0, tenant="acme")
             ).result(timeout=30.0)
-            via_keywords = server.submit(ids, timeout=10.0, tenant="acme").result(
-                timeout=30.0
-            )
-        np.testing.assert_array_equal(
-            via_options.predictions, via_keywords.predictions
-        )
-        np.testing.assert_array_equal(via_options.depths, via_keywords.depths)
-        assert via_options.tenant == via_keywords.tenant == "acme"
+            plain = server.submit(ids).result(timeout=30.0)
+        np.testing.assert_array_equal(response.predictions, plain.predictions)
+        np.testing.assert_array_equal(response.depths, plain.depths)
+        assert response.tenant == "acme"
 
     def test_tenant_defaults_to_none(self, deployed):
         with InferenceServer(deployed, serving_config()) as server:
             response = server.submit(np.arange(4)).result(timeout=30.0)
         assert response.tenant is None
-
-    def test_mixing_options_and_keywords_raises(self, deployed):
-        with InferenceServer(deployed, serving_config()) as server:
-            with pytest.raises(ConfigurationError):
-                server.submit(np.arange(4), SubmitOptions(), timeout=1.0)
-            with pytest.raises(ConfigurationError):
-                server.submit(np.arange(4), SubmitOptions(), tenant="acme")
 
     def test_options_are_frozen(self):
         options = SubmitOptions(tenant="acme")
@@ -111,30 +98,3 @@ class TestRouterSubmitOptions:
             response.tenant == "acme"
             for response in routed.per_shard.values()
         )
-
-    def test_legacy_keywords_still_work(self, sharded):
-        router = ShardRouter(sharded, serving_config())
-        try:
-            routed = router.submit(
-                np.arange(6, dtype=np.int64), timeout=10.0, tenant="acme"
-            ).result(timeout=30.0)
-        finally:
-            router.close()
-        assert all(
-            response.tenant == "acme"
-            for response in routed.per_shard.values()
-        )
-
-    def test_mixing_options_and_keywords_raises(self, sharded):
-        router = ShardRouter(sharded, serving_config())
-        try:
-            with pytest.raises(ConfigurationError):
-                router.submit(
-                    np.arange(4, dtype=np.int64), SubmitOptions(), timeout=1.0
-                )
-            with pytest.raises(ConfigurationError):
-                router.submit(
-                    np.arange(4, dtype=np.int64), SubmitOptions(), tenant="x"
-                )
-        finally:
-            router.close()

@@ -9,7 +9,7 @@ be **bit-identical** between the sharded deployment and the single-process
 import numpy as np
 import pytest
 
-from repro.core import NAIConfig, ShardConfig, compute_stationary_state
+from repro.core import ShardConfig, compute_stationary_state
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.graph.generators import SyntheticGraphSpec, generate_community_graph
 from repro.shard import (
@@ -17,6 +17,8 @@ from repro.shard import (
     ShardedPredictor,
     compute_sharded_stationary,
 )
+
+from oracle import oracle_predict
 
 SHARD_COUNTS = (1, 2, 4)
 STRATEGIES = ("hash", "degree_balanced")
@@ -113,6 +115,29 @@ class TestShardedPredictorEquivalence:
             assert getattr(result.macs, name) == getattr(baseline.macs, name)
         assert result.macs.total == baseline.macs.total
 
+    @pytest.mark.parametrize("policy", ["distance", "gate"])
+    @pytest.mark.parametrize("num_shards", [2, 3])
+    def test_predict_matches_the_reference_oracle(
+        self, num_shards, policy, trained_nai, tiny_dataset
+    ):
+        kwargs = {}
+        if policy == "distance":
+            kwargs["distance_threshold"] = trained_nai.suggest_distance_threshold(0.5)
+        predictor = trained_nai.build_predictor(
+            policy=policy,
+            config=trained_nai.inference_config(t_min=1, batch_size=48, **kwargs),
+        ).prepare(tiny_dataset.graph, tiny_dataset.features)
+        sharded = ShardedPredictor.from_predictor(predictor).prepare(
+            tiny_dataset.graph, tiny_dataset.features, ShardConfig(num_shards=num_shards)
+        )
+        test_idx = tiny_dataset.split.test_idx
+        result = sharded.predict(test_idx)
+        expected = oracle_predict(predictor, test_idx)
+        assert np.array_equal(result.predictions, expected.predictions)
+        assert np.array_equal(result.depths, expected.depths)
+        assert result.macs.total == expected.macs.total
+        assert expected.depths.min() < predictor.config.t_max
+
     def test_no_early_exit_policy_also_identical(self, trained_nai, tiny_dataset):
         predictor = trained_nai.build_predictor(policy="none")
         predictor.prepare(tiny_dataset.graph, tiny_dataset.features)
@@ -143,11 +168,6 @@ class TestShardedPredictorEquivalence:
         sharded = ShardedPredictor(trained_nai.classifiers)
         with pytest.raises(NotFittedError):
             sharded.predict(np.array([0]))
-
-    def test_reference_engine_rejected(self, trained_nai):
-        config = NAIConfig(t_min=3, t_max=3, engine="reference")
-        with pytest.raises(ConfigurationError):
-            ShardedPredictor(trained_nai.classifiers, config=config)
 
     def test_empty_batch_rejected(self, unsharded, tiny_dataset):
         sharded = ShardedPredictor.from_predictor(unsharded).prepare(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import ServingConfig, ShardConfig
 from repro.exceptions import ConfigurationError, ServingError
+from repro.serving import SubmitOptions
 from repro.shard import GraphPartitioner, ShardRouter, ShardedPredictor
 
 SERVING = ServingConfig(
@@ -83,13 +84,13 @@ class TestLiveRollout:
         with ShardRouter(old, SERVING) as router:
             assert router.plan_version == 0
             # Phase 1: accept traffic on the old plan and leave it in flight.
-            in_flight = [router.submit(batch, timeout=300.0) for batch in batches]
+            in_flight = [router.submit(batch, SubmitOptions(timeout=300.0)) for batch in batches]
             # Phase 2: install the repartition mid-traffic.
             assert router.install_plan(new) == 1
             assert router.plan_version == 1
             assert router.predictor is new
             # Phase 3: new submissions route on the new plan immediately...
-            after = [router.submit(batch, timeout=300.0) for batch in batches]
+            after = [router.submit(batch, SubmitOptions(timeout=300.0)) for batch in batches]
             # ...while the old generation's requests drain to completion.
             old_responses = [h.result(timeout=300.0) for h in in_flight]
             new_responses = [h.result(timeout=300.0) for h in after]
@@ -122,7 +123,7 @@ class TestLiveRollout:
         )
         test_idx = tiny_dataset.split.test_idx
         with ShardRouter(old, SERVING) as router:
-            router.submit(test_idx[:10], timeout=300.0).result(timeout=300.0)
+            router.submit(test_idx[:10], SubmitOptions(timeout=300.0)).result(timeout=300.0)
             router.install_plan(new)
             state = router.rollout_state()
             assert [row["version"] for row in state] == [0, 2]
@@ -136,7 +137,7 @@ class TestLiveRollout:
             assert state[1]["requests_routed"] == 0
             # Draining generations still answer their accepted traffic; the
             # active one takes all new routing.
-            response = router.submit(test_idx[:10], timeout=300.0).result(
+            response = router.submit(test_idx[:10], SubmitOptions(timeout=300.0)).result(
                 timeout=300.0
             )
             assert response.plan_version == 2

@@ -1,11 +1,17 @@
 """Tests for the shard router: ownership routing, fan-out, stats merging."""
 
+import threading
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core import ServingConfig, ShardConfig
 from repro.exceptions import ConfigurationError, ServingError
+from repro.serving import InferenceRequest
 from repro.shard import (
+    RoutedRequest,
     ShardRouter,
     ShardedPredictor,
     merge_latency_summaries,
@@ -87,6 +93,40 @@ class TestRouting:
     def test_unprepared_predictor_rejected(self, trained_nai):
         with pytest.raises(ServingError):
             ShardRouter(ShardedPredictor(trained_nai.classifiers), SERVING)
+
+
+class TestRoutedResultTimeout:
+    def test_timeout_bounds_the_whole_fan_in(self):
+        """One deadline for every part, not one full timeout per shard.
+
+        Parts 0 and 1 answer just inside a per-part timeout, one after the
+        other, and part 2 never does.  Waiting the full timeout per part
+        would block about 0.55 s before raising; one shared deadline
+        raises at 0.2 s.
+        """
+        parts = [
+            (shard_id, np.array([shard_id]), InferenceRequest(shard_id, np.array([shard_id])))
+            for shard_id in range(3)
+        ]
+        answer = SimpleNamespace(
+            predictions=np.zeros(1, dtype=np.int64),
+            depths=np.ones(1, dtype=np.int64),
+            latency_seconds=0.0,
+        )
+        timers = [
+            threading.Timer(delay, parts[index][2]._fulfill, args=(answer,))
+            for index, delay in enumerate((0.18, 0.36))
+        ]
+        for timer in timers:
+            timer.start()
+        try:
+            start = time.monotonic()
+            with pytest.raises(ServingError):
+                RoutedRequest(np.arange(3), parts).result(timeout=0.2)
+            assert time.monotonic() - start < 0.45
+        finally:
+            for timer in timers:
+                timer.cancel()
 
 
 class TestStatsMerging:

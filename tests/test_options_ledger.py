@@ -30,8 +30,8 @@ LEDGER = [
     ),
     (
         NAIConfig,
-        6,
-        {"t_min", "t_max", "distance_threshold", "batch_size", "dtype", "engine"},
+        5,
+        {"t_min", "t_max", "distance_threshold", "batch_size", "dtype"},
     ),
     (
         ShardConfig,
@@ -43,13 +43,11 @@ LEDGER = [
     ),
     (
         MonitorConfig,
-        14,
+        10,
         {
             "window_seconds", "num_buckets", "cadence_seconds", "sample_cap",
-            "latency_slo_threshold_seconds", "latency_slo_budget_fraction",
-            "error_slo_budget_fraction", "fast_burn_window_seconds",
-            "slow_burn_window_seconds", "burn_rate_threshold",
-            "alert_for_seconds", "resolve_after_seconds", "min_alert_events",
+            "latency_slo_threshold_seconds", "error_slo_budget_fraction",
+            "burn_rate_threshold", "resolve_after_seconds", "min_alert_events",
             "cooldown_seconds",
         },
     ),
