@@ -84,13 +84,14 @@ def _predictor(context: TrainedContext, *, batch_size: int):
 
 def _unsharded_state_nbytes(predictor) -> int:
     """Resident deployment state of the single-process predictor."""
-    adjacency = predictor._graph.adjacency
-    a_hat = predictor._a_hat
+    rows = predictor._rows
+    adjacency = rows.graph.adjacency
+    a_hat = rows.a_hat
     stationary = predictor._stationary
     return int(
         adjacency.indptr.nbytes + adjacency.indices.nbytes + adjacency.data.nbytes
         + a_hat.indptr.nbytes + a_hat.indices.nbytes + a_hat.data.nbytes
-        + predictor._features.nbytes
+        + rows.features.nbytes
         + stationary.degrees_with_loops.nbytes
         + stationary.weighted_feature_sum.nbytes
     )

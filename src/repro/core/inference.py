@@ -26,8 +26,8 @@ The per-depth cost of Algorithm 1 is dominated by *selecting* and
 target.  The engine removes every per-depth allocation from that loop:
 
 * The local normalized adjacency is extracted **once per batch**
-  (:func:`~repro.graph.kernels.extract_submatrix`) and afterwards only its
-  raw ``indptr/indices/data`` arrays are touched.
+  (:func:`~repro.graph.sampling.build_support_bundle`) and afterwards only
+  its raw ``indptr/indices/data`` arrays are touched.
 * Propagation runs through :func:`~repro.graph.kernels.masked_row_spmm`,
   which writes ``(Â_local @ X)[rows]`` straight into a preallocated double
   buffer — no per-depth CSR submatrix, no full feature-matrix copy.  Rows
@@ -47,9 +47,13 @@ Worker-ownable engine state
 ---------------------------
 All per-batch execution lives in :class:`BatchEngine`, which owns the
 mutable hot-path state (the grow-only double propagation buffers) while
-sharing the prepared read-only deployment state (features, normalized
-adjacency, stationary vectors, classifiers).  :class:`NAIPredictor` keeps
-one engine for its sequential :meth:`~NAIPredictor.predict` loop;
+sharing the prepared read-only deployment state (a row source, stationary
+vectors, classifiers).  The row source
+(:class:`~repro.graph.sampling.RowSource`) is where sampling reads graph
+rows: one process's graph, ``Â`` and features for :class:`NAIPredictor`, a
+sharded store for :mod:`repro.shard` — the engine and its one support
+builder do not know which.  :class:`NAIPredictor` keeps one engine for its
+sequential :meth:`~NAIPredictor.predict` loop;
 :mod:`repro.serving` hands each pool worker its own engine via
 :meth:`NAIPredictor.make_engine`, so independent micro-batches run
 concurrently without sharing scratch memory.  The sampling products of a
@@ -63,7 +67,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,6 +80,8 @@ from ..graph.kernels import (
 )
 from ..graph.normalization import NormalizationScheme, normalized_adjacency
 from ..graph.sampling import (
+    LocalRowSource,
+    RowSource,
     SupportBundle,
     batch_iterator,
     build_support_bundle,
@@ -201,12 +207,11 @@ class InferenceResult:
 class BatchEngine:
     """Executes Algorithm 1 for one batch; owns all mutable per-batch state.
 
-    An engine shares the prepared **read-only** deployment state — the
-    feature matrix, the normalized adjacency, the stationary vectors and the
-    trained classifiers — with its :class:`NAIPredictor` (and with every
-    sibling engine), while owning the **mutable** hot-path state privately:
-    the grow-only double propagation buffers that :meth:`run_batch` writes
-    into.  That split is what makes engines worker-ownable: the serving
+    An engine shares the prepared **read-only** deployment state — the row
+    source sampling reads, the stationary vectors and the trained
+    classifiers — with its predictor (and with every sibling engine), while
+    owning the **mutable** hot-path state privately: the grow-only double
+    propagation buffers that :meth:`run_batch` writes into.  That split is what makes engines worker-ownable: the serving
     layer's pool gives each worker its own engine, so concurrent batches
     never contend on scratch memory, and merging the per-engine
     :class:`TimingBreakdown`/:class:`MACBreakdown` reproduces the sequential
@@ -221,20 +226,15 @@ class BatchEngine:
         classifiers: Sequence[DepthwiseClassifier],
         policy: DistanceNAP | GateNAP | None,
         config: NAIConfig,
-        graph: CSRGraph | None,
-        features: np.ndarray | None,
-        a_hat: sp.csr_matrix | None,
+        rows: RowSource,
         stationary: StationaryState,
     ) -> None:
-        # graph/features/a_hat may be None for engines whose sampling is
-        # served elsewhere (repro.shard overrides build_support; run_batch
-        # reads only the stationary state and the bundle).
+        # ``rows`` serves sampling only; run_batch reads nothing but the
+        # stationary state and the bundle, so any row source will do.
         self.classifiers = list(classifiers)
         self.policy = policy
         self.config = config
-        self.graph = graph
-        self.features = features
-        self.a_hat = a_hat
+        self.rows = rows
         self.stationary = stationary
         for classifier in self.classifiers:
             classifier.eval()
@@ -255,9 +255,12 @@ class BatchEngine:
         serving subgraph cache relies on this to amortise sampling across
         recurring batches.
         """
-        return build_support_bundle(
-            self.graph, self.a_hat, self.features, batch, self.config.t_max
-        )
+        return build_support_bundle(self.rows, batch, self.config.t_max)
+
+    @property
+    def a_hat(self) -> sp.csr_matrix:
+        """The normalized adjacency of an in-process row source."""
+        return self.rows.a_hat
 
     # ------------------------------------------------------------------ #
     # One batch of Algorithm 1
@@ -489,9 +492,7 @@ class NAIPredictor:
         self.gamma = gamma
         self.config = (config if config is not None else NAIConfig(t_min=self.depth, t_max=self.depth))
         self.config.validated_against_depth(self.depth)
-        self._graph: CSRGraph | None = None
-        self._features: np.ndarray | None = None
-        self._a_hat: sp.csr_matrix | None = None
+        self._rows: LocalRowSource | None = None
         self._stationary: StationaryState | None = None
         self._engine: BatchEngine | None = None
 
@@ -507,11 +508,14 @@ class NAIPredictor:
         :meth:`predict` calls.
         """
         dtype = self.config.np_dtype
-        self._graph = graph
-        self._features = np.ascontiguousarray(features, dtype=dtype)
-        self._a_hat = normalized_adjacency(graph, gamma=self.gamma).astype(dtype, copy=False)
+        features = np.ascontiguousarray(features, dtype=dtype)
+        self._rows = LocalRowSource(
+            graph,
+            normalized_adjacency(graph, gamma=self.gamma).astype(dtype, copy=False),
+            features,
+        )
         self._stationary = compute_stationary_state(
-            graph, self._features, gamma=self.gamma, dtype=dtype
+            graph, features, gamma=self.gamma, dtype=dtype
         )
         self._engine = self.make_engine()
         return self
@@ -519,28 +523,21 @@ class NAIPredictor:
     def make_engine(self) -> BatchEngine:
         """Create a fresh :class:`BatchEngine` over the prepared state.
 
-        Every engine shares the read-only deployment state (features,
-        normalized adjacency, stationary vectors, classifiers) but owns its
-        propagation buffers privately, so one engine per worker thread runs
-        concurrent batches without contention.  Requires :meth:`prepare`.
+        Every engine shares the read-only deployment state (row source,
+        stationary vectors, classifiers) but owns its propagation buffers
+        privately, so one engine per worker thread runs concurrent batches
+        without contention.  Requires :meth:`prepare`.
         """
         self._require_prepared()
-        assert self._graph is not None and self._features is not None
-        assert self._a_hat is not None and self._stationary is not None
+        assert self._rows is not None and self._stationary is not None
         return BatchEngine(
-            self.classifiers,
-            self.policy,
-            self.config,
-            self._graph,
-            self._features,
-            self._a_hat,
-            self._stationary,
+            self.classifiers, self.policy, self.config, self._rows, self._stationary
         )
 
     @property
     def prepared(self) -> bool:
         """Whether :meth:`prepare` has deployed this predictor on a graph."""
-        return self._graph is not None and self._a_hat is not None and self._stationary is not None
+        return self._rows is not None and self._stationary is not None
 
     def _require_prepared(self) -> None:
         if not self.prepared:
@@ -552,37 +549,56 @@ class NAIPredictor:
     def predict(self, node_ids: np.ndarray, *, keep_logits: bool = False) -> InferenceResult:
         """Classify ``node_ids`` with node-adaptive propagation (Algorithm 1)."""
         self._require_prepared()
-        node_ids = np.asarray(node_ids, dtype=np.int64)
-        if node_ids.size == 0:
-            raise ConfigurationError("predict requires at least one node")
-        predictions = np.full(node_ids.shape[0], -1, dtype=np.int64)
-        depths = np.zeros(node_ids.shape[0], dtype=np.int64)
-        logits_store: dict[int, np.ndarray] = {}
-        macs = MACBreakdown()
-        timings = TimingBreakdown()
-
-        assert self._engine is not None
-        # Batches are consecutive slices of ``node_ids``, so the results of
-        # batch i land in the matching slice of the output arrays — no
-        # per-node Python-dict position lookups.
-        offset = 0
-        for batch in batch_iterator(node_ids, self.config.batch_size):
-            batch_result = self._engine.run_batch(batch, keep_logits=keep_logits)
-            macs = macs.merged_with(batch_result.macs)
-            timings = timings.merged_with(batch_result.timings)
-            predictions[offset:offset + batch.shape[0]] = batch_result.predictions
-            depths[offset:offset + batch.shape[0]] = batch_result.depths
-            offset += batch.shape[0]
-            if keep_logits:
-                logits_store.update(batch_result.logits)
-
-        return InferenceResult(
-            node_ids=node_ids,
-            predictions=predictions,
-            depths=depths,
-            macs=macs,
-            timings=timings,
-            max_depth=self.config.t_max,
-            logits=logits_store,
+        engine = self._engine
+        assert engine is not None
+        return predict_in_batches(
+            node_ids, self.config, lambda batch: engine, keep_logits=keep_logits
         )
 
+
+def predict_in_batches(
+    node_ids: np.ndarray,
+    config: NAIConfig,
+    engine_for: Callable[[np.ndarray], BatchEngine],
+    *,
+    keep_logits: bool = False,
+) -> InferenceResult:
+    """Classify ``node_ids`` in consecutive ``config.batch_size`` slices.
+
+    ``engine_for(batch)`` names the engine that runs each batch; the
+    per-batch breakdowns merge into one result.  Batch composition depends
+    only on ``node_ids`` and the batch size, so every deployment that runs
+    bit-identical batches returns bit-identical totals (MACs included).
+    """
+    node_ids = np.asarray(node_ids, dtype=np.int64)
+    if node_ids.size == 0:
+        raise ConfigurationError("predict requires at least one node")
+    predictions = np.full(node_ids.shape[0], -1, dtype=np.int64)
+    depths = np.zeros(node_ids.shape[0], dtype=np.int64)
+    logits_store: dict[int, np.ndarray] = {}
+    macs = MACBreakdown()
+    timings = TimingBreakdown()
+
+    # Batches are consecutive slices of ``node_ids``, so the results of
+    # batch i land in the matching slice of the output arrays — no
+    # per-node Python-dict position lookups.
+    offset = 0
+    for batch in batch_iterator(node_ids, config.batch_size):
+        batch_result = engine_for(batch).run_batch(batch, keep_logits=keep_logits)
+        macs = macs.merged_with(batch_result.macs)
+        timings = timings.merged_with(batch_result.timings)
+        predictions[offset:offset + batch.shape[0]] = batch_result.predictions
+        depths[offset:offset + batch.shape[0]] = batch_result.depths
+        offset += batch.shape[0]
+        if keep_logits:
+            logits_store.update(batch_result.logits)
+
+    return InferenceResult(
+        node_ids=node_ids,
+        predictions=predictions,
+        depths=depths,
+        macs=macs,
+        timings=timings,
+        max_depth=config.t_max,
+        logits=logits_store,
+    )

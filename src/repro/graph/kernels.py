@@ -17,9 +17,10 @@ built per batch:
   stays highly clustered afterwards.
 * :func:`hop_distances` is a multi-source BFS over the raw CSR arrays used to
   re-derive hop distances when early exits shrink the target set.
-* :func:`extract_submatrix` builds the per-batch local matrix with a single
-  row gather plus one vectorised column remap, avoiding scipy's slow
-  ``[:, cols]`` fancy column indexing.
+* :func:`select_local_csr` builds the per-batch local CSR arrays with a
+  single row gather plus one vectorised column remap, avoiding scipy's slow
+  ``[:, cols]`` fancy column indexing; :func:`extract_local_csr_arrays` and
+  :func:`extract_submatrix` run it on one in-process matrix.
 
 All kernels are dtype-parametric: they run in whatever floating dtype the
 caller's buffers carry (the inference engine threads ``NAIConfig.dtype``
@@ -316,21 +317,38 @@ def extract_local_csr_arrays(
     node_ids = np.asarray(node_ids, dtype=np.int64)
     if lookup is None:
         lookup = global_to_local_map(node_ids, matrix.shape[1])
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    index_dtype = indices.dtype
+    return select_local_csr(
+        matrix.indptr, matrix.indices, matrix.data, node_ids, lookup,
+        matrix.indices.dtype,
+    )
 
-    flat, row_ends = _flat_nnz_positions(indptr, node_ids)
-    if flat.size == 0:
-        empty_ptr = np.zeros(node_ids.shape[0] + 1, dtype=index_dtype)
-        return empty_ptr, np.empty(0, dtype=index_dtype), np.empty(0, dtype=data.dtype)
-    cols = lookup[indices[flat]]
+
+def select_local_csr(
+    indptr: np.ndarray,
+    columns: np.ndarray,
+    data: np.ndarray,
+    rows: np.ndarray,
+    lookup: np.ndarray,
+    index_dtype: np.dtype,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local CSR of ``rows`` of a block whose ``columns`` are global ids.
+
+    Gathers the rows' entries in the order ``rows`` lists them, renumbers
+    each column through the inverse-permutation ``lookup`` and drops the
+    columns outside the subgraph (``lookup == -1``).  The in-process source
+    runs it on the global ``Â``; the sharded source on the owners' fetched
+    rows, so both produce the same arrays entry for entry.
+    """
+    flat, row_ends = _flat_nnz_positions(indptr, rows)
+    cols = lookup[columns[flat]]
     keep = cols >= 0
     kept_before = np.concatenate(([0], np.cumsum(keep)))
     gathered_indptr = np.concatenate(([0], row_ends))
-    new_indptr = kept_before[gathered_indptr].astype(index_dtype)
-    new_indices = cols[keep].astype(index_dtype)
-    new_data = data[flat[keep]]
-    return new_indptr, new_indices, new_data
+    return (
+        kept_before[gathered_indptr].astype(index_dtype),
+        cols[keep].astype(index_dtype),
+        data[flat[keep]],
+    )
 
 
 def extract_submatrix(

@@ -15,12 +15,23 @@ always a *prefix* of the local row range, so per-depth support pruning is a
 single ``searchsorted`` over :attr:`SupportingSubgraph.hops` instead of a BFS
 (see :mod:`repro.graph.kernels` and :mod:`repro.core.inference`).  All index
 maps are vectorised numpy inverse permutations — no Python dict lookups.
+
+Row sources
+-----------
+The BFS and the bundle builder read the graph through a :class:`RowSource`:
+one round of neighbour ids per hop, one round of local ``Â`` rows and one
+round of hop-0 feature rows per bundle.  :class:`LocalRowSource` answers
+from one process's graph, ``Â`` and features;
+:class:`~repro.shard.store.ShardRowSource` answers from a sharded store
+through its transport.  Both hand back the same arrays, so one BFS and one
+builder serve every deployment bit for bit.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from typing import Protocol
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,8 +99,69 @@ class SupportingSubgraph:
         return CSRGraph(self.adjacency)
 
 
+class RowSource(Protocol):
+    """Where the support builder reads graph rows from, one round per call.
+
+    ``neighbors`` serves one BFS hop, ``local_csr`` the batch's local ``Â``
+    and ``feature_rows`` its hop-0 features.  Answers are in global ids and
+    the deployment dtype, and every source returns the same arrays for the
+    same ids, so the bundle does not depend on which source built it.
+    """
+
+    @property
+    def num_nodes(self) -> int: ...
+
+    def neighbors(self, frontier: np.ndarray) -> np.ndarray:
+        """Concatenated global neighbour ids of ``frontier`` (duplicates kept)."""
+
+    def local_csr(
+        self, node_ids: np.ndarray, lookup: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Raw ``(indptr, indices, data)`` of ``Â[node_ids][:, node_ids]``.
+
+        ``lookup`` is the graph-sized map from global id to local row
+        (``-1`` outside ``node_ids``).
+        """
+
+    def feature_rows(self, node_ids: np.ndarray) -> np.ndarray:
+        """The C-contiguous feature rows of ``node_ids``, in order."""
+
+
+class LocalRowSource:
+    """The in-process row source: one graph, its ``Â`` and its features.
+
+    ``a_hat`` and ``features`` may be ``None`` when only the BFS runs.
+    """
+
+    def __init__(
+        self,
+        graph: CSRGraph,
+        a_hat: sp.csr_matrix | None = None,
+        features: np.ndarray | None = None,
+    ) -> None:
+        self.graph = graph
+        self.a_hat = a_hat
+        self.features = features
+
+    @property
+    def num_nodes(self) -> int:
+        return self.graph.num_nodes
+
+    def neighbors(self, frontier: np.ndarray) -> np.ndarray:
+        adjacency = self.graph.adjacency
+        return gather_columns(adjacency.indptr, adjacency.indices, frontier)
+
+    def local_csr(
+        self, node_ids: np.ndarray, lookup: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return extract_local_csr_arrays(self.a_hat, node_ids, lookup=lookup)
+
+    def feature_rows(self, node_ids: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(self.features[node_ids])
+
+
 def k_hop_neighborhood(
-    graph: CSRGraph,
+    source: CSRGraph | RowSource,
     targets: np.ndarray,
     depth: int,
     *,
@@ -99,8 +171,9 @@ def k_hop_neighborhood(
 
     Parameters
     ----------
-    graph:
-        The full graph (train nodes plus unseen test nodes).
+    source:
+        The full graph (train nodes plus unseen test nodes), or any
+        :class:`RowSource` — one ``neighbors`` round per hop.
     targets:
         Global node ids of the inference batch.
     depth:
@@ -110,21 +183,23 @@ def k_hop_neighborhood(
         When false, skip building the local adjacency matrix (the inference
         engine only needs the node ordering and hop distances — it extracts
         the normalized adjacency itself, so building this one would double
-        the sampling cost).
+        the sampling cost).  Only an in-process graph can build it.
     """
+    rows = LocalRowSource(source) if isinstance(source, CSRGraph) else source
+    num_nodes = rows.num_nodes
     targets = np.asarray(targets, dtype=np.int64)
     if targets.size == 0:
         raise GraphConstructionError("k_hop_neighborhood requires a non-empty batch")
-    if targets.min() < 0 or targets.max() >= graph.num_nodes:
+    if targets.min() < 0 or targets.max() >= num_nodes:
         raise GraphConstructionError("target node ids out of range")
     if depth < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")
+    if include_adjacency and not isinstance(rows, LocalRowSource):
+        raise GraphConstructionError("a local adjacency needs an in-process graph")
 
-    adjacency = graph.adjacency
-    indptr, indices = adjacency.indptr, adjacency.indices
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    newly = np.zeros(graph.num_nodes, dtype=bool)
-    hop_of = np.full(graph.num_nodes, -1, dtype=np.int64)
+    visited = np.zeros(num_nodes, dtype=bool)
+    newly = np.zeros(num_nodes, dtype=bool)
+    hop_of = np.full(num_nodes, -1, dtype=np.int64)
     frontier = np.unique(targets)
     visited[frontier] = True
     hop_of[frontier] = 0
@@ -132,10 +207,11 @@ def k_hop_neighborhood(
     for hop in range(1, depth + 1):
         if frontier.size == 0:
             break
-        # All neighbours of the current frontier, gathered from the raw CSR
-        # arrays; the boolean scatter deduplicates them without the sort that
-        # np.unique would pay on the (duplicate-heavy) neighbour list.
-        neighbor_ids = gather_columns(indptr, indices, frontier)
+        # All neighbours of the current frontier in one round; the boolean
+        # scatter deduplicates them without the sort that np.unique would
+        # pay on the (duplicate-heavy) neighbour list, and emits the new
+        # frontier ascending whatever order the source answered in.
+        neighbor_ids = rows.neighbors(frontier)
         neighbor_ids = neighbor_ids[~visited[neighbor_ids]]
         if neighbor_ids.size == 0:
             frontier = neighbor_ids
@@ -148,12 +224,12 @@ def k_hop_neighborhood(
         order.append(new)
         frontier = new
 
-    node_ids = np.concatenate(order) if order else np.unique(targets)
-    lookup = global_to_local_map(node_ids, graph.num_nodes)
+    node_ids = np.concatenate(order)
+    lookup = global_to_local_map(node_ids, num_nodes)
     target_local = lookup[targets]
     local_adj = None
     if include_adjacency:
-        local_adj = extract_submatrix(adjacency, node_ids, lookup=lookup)
+        local_adj = extract_submatrix(rows.graph.adjacency, node_ids, lookup=lookup)
     return SupportingSubgraph(
         node_ids=node_ids,
         target_local=target_local,
@@ -264,18 +340,15 @@ def support_cache_key(targets: np.ndarray, depth: int) -> bytes:
 
 
 def build_support_bundle(
-    graph: CSRGraph,
-    normalized_adjacency: sp.csr_matrix,
-    features: np.ndarray,
-    targets: np.ndarray,
-    depth: int,
+    rows: RowSource, targets: np.ndarray, depth: int
 ) -> SupportBundle:
     """Extract the cacheable sampling products for one inference batch.
 
-    One BFS (:func:`k_hop_neighborhood`), one zero-copy local-CSR extraction
-    and one contiguous gather of the hop-0 feature rows.  ``features`` must
-    already carry the inference dtype — the bundle stores whatever it is
-    given, so a cache holds exactly one precision per deployment.
+    One BFS (:func:`k_hop_neighborhood`, one ``neighbors`` round per hop),
+    one ``local_csr`` round and one ``feature_rows`` round for the hop-0
+    features.  The source's features must already carry the inference dtype
+    — the bundle stores whatever it is given, so a cache holds exactly one
+    precision per deployment.
 
     The graph-sized ``global_to_local`` lookup is only needed *during*
     extraction; it is dropped from the stored subgraph so a cached bundle
@@ -283,11 +356,9 @@ def build_support_bundle(
     would otherwise dominate every entry of the serving cache.
     """
     start = time.perf_counter()
-    support = k_hop_neighborhood(graph, targets, depth, include_adjacency=False)
-    indptr, indices, data = extract_local_csr_arrays(
-        normalized_adjacency, support.node_ids, lookup=support.global_to_local
-    )
-    local_features = np.ascontiguousarray(features[support.node_ids])
+    support = k_hop_neighborhood(rows, targets, depth, include_adjacency=False)
+    indptr, indices, data = rows.local_csr(support.node_ids, support.global_to_local)
+    local_features = rows.feature_rows(support.node_ids)
     return SupportBundle(
         support=replace(support, global_to_local=None),
         indptr=indptr,

@@ -100,6 +100,28 @@ class ServingResponse:
     wave_width: int = 1
 
 
+def checked_node_ids(node_ids, num_nodes: int | None = None) -> np.ndarray:
+    """``node_ids`` as a non-empty 1-D int64 array, each id in ``[0, num_nodes)``.
+
+    The front doors (:meth:`repro.serving.InferenceServer.submit`,
+    :meth:`repro.shard.ShardRouter.submit`) check the range before a request
+    is queued, so a bad id fails its own request with a
+    :class:`~repro.exceptions.ConfigurationError` and never the batch it
+    would have joined.
+    """
+    node_ids = np.asarray(node_ids, dtype=np.int64)
+    if node_ids.ndim != 1 or node_ids.size == 0:
+        raise ConfigurationError(
+            "an inference request needs a non-empty 1-D array of node ids"
+        )
+    if num_nodes is not None and (node_ids.min() < 0 or node_ids.max() >= num_nodes):
+        raise ConfigurationError(
+            f"node ids must lie in [0, {num_nodes}), got "
+            f"[{int(node_ids.min())}, {int(node_ids.max())}]"
+        )
+    return node_ids
+
+
 class InferenceRequest:
     """One queued inference request and the caller's future on its response."""
 
@@ -112,13 +134,8 @@ class InferenceRequest:
         trace=None,
         tenant: str | None = None,
     ) -> None:
-        node_ids = np.asarray(node_ids, dtype=np.int64)
-        if node_ids.ndim != 1 or node_ids.size == 0:
-            raise ConfigurationError(
-                "an inference request needs a non-empty 1-D array of node ids"
-            )
         self.request_id = request_id
-        self.node_ids = node_ids
+        self.node_ids = checked_node_ids(node_ids)
         #: Root :class:`~repro.obs.TraceContext` of this request, or ``None``
         #: when untraced (tracing off, or the sampler skipped it).
         self.trace = trace

@@ -50,7 +50,14 @@ from .cache import CachedResult, ResultCache, SubgraphCache
 from .clock import MONOTONIC_CLOCK, Clock
 from .controller import BatchController, build_controller
 from .prefetch import BusyTracker, PrefetchPipeline
-from .queue import NEW_TRACE, InferenceRequest, RequestQueue, ServingResponse, SubmitOptions
+from .queue import (
+    NEW_TRACE,
+    InferenceRequest,
+    RequestQueue,
+    ServingResponse,
+    SubmitOptions,
+    checked_node_ids,
+)
 from .stats import ServingStats, ServingStatsSnapshot
 from .wave import attribute_wave_macs, split_timings
 from .worker import WorkerPool, WorkItem, WorkOutput
@@ -142,9 +149,12 @@ class InferenceServer:
         self.pool = WorkerPool(predictor, num_workers=self.config.num_workers, tracer=tracer)
         # Dispatcher-owned engine: builds bundles for inline misses
         # (build_support touches no propagation buffers) and holds the
-        # policy/classifier state the attribution replay reads.
+        # policy/classifier state the attribution replay reads.  Its row
+        # source also bounds the ids submit accepts.
         needs_sampler = self.cache is not None or self.config.wave_width > 1
-        self._sampler = predictor.make_engine() if needs_sampler else None
+        sampler = predictor.make_engine()
+        self._sampler = sampler if needs_sampler else None
+        self._num_nodes = sampler.rows.num_nodes
         self._stats = ServingStats(clock=self.clock)
         # prefetch_depth > 0: cache misses are resolved by background fetchers,
         # so unit N+1's transport rounds overlap unit N's compute; the busy
@@ -183,7 +193,9 @@ class InferenceServer:
         submit` accepts, so call sites survive a single-server-to-fleet
         swap unchanged.
 
-        Raises :class:`~repro.exceptions.BackpressureError` under the
+        Raises :class:`~repro.exceptions.ConfigurationError` for an empty
+        request or an id outside the graph, and
+        :class:`~repro.exceptions.BackpressureError` under the
         ``"reject"`` overflow policy (or after ``options.timeout`` under
         ``"block"``) when the queue is full.  ``options.trace_parent`` nests
         the request's trace under an existing context (the shard router's
@@ -194,6 +206,7 @@ class InferenceServer:
             options = SubmitOptions()
         if not self._accepting:
             raise ServingError("the server is closed to new requests")
+        node_ids = checked_node_ids(node_ids, self._num_nodes)
         trace = None
         if self.tracer is not None:
             trace = (

@@ -7,14 +7,16 @@ bit-identical to the single-process :class:`~repro.core.NAIPredictor`:
 * :class:`GraphPartitioner` — deterministic edge-cut partitioning (hash or
   degree-balanced) into a :class:`ShardPlan`;
 * :class:`ShardedGraphStore` / :class:`GraphShard` — per-shard local CSR
-  blocks (raw + normalized rows, features, degrees) with halo/ghost maps,
-  serving cross-shard k-hop expansion and
-  :class:`~repro.graph.sampling.SupportBundle` assembly;
+  blocks (raw + normalized rows, features, degrees) with halo/ghost maps;
+  :class:`ShardRowSource` binds the store to a home shard as the row source
+  the one support builder
+  (:func:`~repro.graph.sampling.build_support_bundle`) reads;
 * :class:`ShardedStationaryState` — the O(n) stationary state computed
   shard-locally and reduced with the exact accumulator of
   :mod:`repro.core.reduction` (partition-independent bit for bit);
-* :class:`ShardedPredictor` / :class:`ShardEngine` — the coordinator
-  surface mirroring ``NAIPredictor.prepare``/``predict``;
+* :class:`ShardedPredictor` — the coordinator surface mirroring
+  ``NAIPredictor.prepare``/``predict``; each of its engines is a plain
+  :class:`~repro.core.inference.BatchEngine` over a :class:`ShardRowSource`;
 * :class:`ShardRouter` — one :class:`~repro.serving.InferenceServer` worker
   group per shard, ownership routing, fan-out of mixed-shard requests and
   fleet-level stats merging (:class:`ShardedStatsSnapshot`).
@@ -25,7 +27,7 @@ behind ``BENCH_sharding.json``.
 """
 
 from .partitioner import GraphPartitioner, ShardPlan, plan_replicas_for_load
-from .predictor import ShardEngine, ShardServingView, ShardedPredictor
+from .predictor import ShardServingView, ShardedPredictor
 from .router import RoutedRequest, RoutedResponse, ShardRouter
 from .stationary import (
     ShardedStationaryState,
@@ -34,19 +36,19 @@ from .stationary import (
 )
 from .stats import ShardedStatsSnapshot, merge_latency_summaries, merge_serving_snapshots
 from .feature_store import TieredFeatureRows, TieredFeatureStore
-from .store import GraphShard, ShardTraffic, ShardedGraphStore
+from .store import GraphShard, ShardRowSource, ShardTraffic, ShardedGraphStore
 
 __all__ = [
     "GraphPartitioner",
     "GraphShard",
     "RoutedRequest",
     "RoutedResponse",
-    "ShardEngine",
     "TieredFeatureRows",
     "TieredFeatureStore",
     "ShardPlan",
     "plan_replicas_for_load",
     "ShardRouter",
+    "ShardRowSource",
     "ShardServingView",
     "ShardTraffic",
     "ShardedGraphStore",

@@ -1,18 +1,19 @@
-"""Shard-backed inference: engines and the coordinator predictor.
+"""Shard-backed inference: the coordinator predictor and per-shard views.
 
-:class:`ShardEngine` is a :class:`~repro.core.inference.BatchEngine` whose
-sampling stage is served by the :class:`~repro.shard.store.ShardedGraphStore`
-(cross-shard bundle assembly) instead of a full in-process graph, and whose
-stationary features come from the :class:`ShardedStationaryState`.  The
-fused Algorithm-1 loop itself runs unchanged — it reads only the bundle and
-the stationary state, both of which the sharded substrate reproduces bit for
-bit — so per-batch predictions, exit depths, MAC and timing breakdowns are
-exactly those of an unsharded engine.
+A sharded deployment runs the one :class:`~repro.core.inference.BatchEngine`
+over a different row source: :meth:`ShardedPredictor.make_engine` binds the
+:class:`~repro.shard.store.ShardedGraphStore` to a home shard
+(:meth:`~repro.shard.store.ShardedGraphStore.row_source`) and pairs it with
+the :class:`ShardedStationaryState`.  The one support builder and the fused
+Algorithm-1 loop run unchanged over it — the store serves the same rows and
+the sharded stationary state the same vectors, bit for bit — so per-batch
+predictions, exit depths, MAC and timing breakdowns are exactly those of an
+unsharded engine.
 
 :class:`ShardedPredictor` is the coordinator: it partitions the graph at
 :meth:`~ShardedPredictor.prepare` time, builds the store and the reduced
-stationary state, then serves :meth:`~ShardedPredictor.predict` with the
-same consecutive-slice batching loop as
+stationary state, then serves :meth:`~ShardedPredictor.predict` through
+:func:`~repro.core.inference.predict_in_batches`, the batching loop of
 :class:`~repro.core.inference.NAIPredictor` — dispatching every batch to the
 engine of the shard owning its first target.  Because batch composition is
 identical and each batch's execution is bit-identical, the *totals* (MACs
@@ -36,43 +37,15 @@ from ..core.gate_nap import GateNAP
 from ..core.inference import (
     BatchEngine,
     InferenceResult,
-    MACBreakdown,
     NAIPredictor,
-    TimingBreakdown,
+    predict_in_batches,
 )
 from ..exceptions import ConfigurationError, NotFittedError
 from ..graph.normalization import NormalizationScheme
-from ..graph.sampling import SupportBundle, batch_iterator
 from ..graph.sparse import CSRGraph
 from ..models.base import DepthwiseClassifier
 from .stationary import ShardedStationaryState, compute_sharded_stationary
 from .store import ShardedGraphStore
-
-
-class ShardEngine(BatchEngine):
-    """A batch engine whose sampling is served by the sharded store."""
-
-    def __init__(
-        self,
-        classifiers: Sequence[DepthwiseClassifier],
-        policy: DistanceNAP | GateNAP | None,
-        config: NAIConfig,
-        store: ShardedGraphStore,
-        stationary: ShardedStationaryState,
-        *,
-        home_shard: int | None = None,
-    ) -> None:
-        # No full graph, feature matrix or global Â: the fused engine only
-        # touches the stationary state and the (store-assembled) bundle.
-        super().__init__(classifiers, policy, config, None, None, None, stationary)
-        self.store = store
-        self.home_shard = home_shard
-
-    def build_support(self, batch: np.ndarray) -> SupportBundle:
-        """Cross-shard bundle assembly (bit-identical to the global build)."""
-        return self.store.build_support_bundle(
-            batch, self.config.t_max, home_shard=self.home_shard
-        )
 
 
 class ShardServingView:
@@ -96,7 +69,7 @@ class ShardServingView:
     def config(self) -> NAIConfig:
         return self._parent.config
 
-    def make_engine(self) -> ShardEngine:
+    def make_engine(self) -> BatchEngine:
         return self._parent.make_engine(home_shard=self.shard_id)
 
 
@@ -130,7 +103,7 @@ class ShardedPredictor:
         self.config.validated_against_depth(self.depth)
         self._store: ShardedGraphStore | None = None
         self._stationary: ShardedStationaryState | None = None
-        self._engines: list[ShardEngine] = []
+        self._engines: list[BatchEngine] = []
 
     @classmethod
     def from_predictor(
@@ -228,17 +201,20 @@ class ShardedPredictor:
                 "call ShardedPredictor.prepare(graph, features, shard_config) first"
             )
 
-    def make_engine(self, *, home_shard: int | None = None) -> ShardEngine:
-        """A fresh engine over the shared store (one per worker)."""
+    def make_engine(self, *, home_shard: int | None = None) -> BatchEngine:
+        """A fresh engine over the shared store (one per worker).
+
+        Its rows come from the store bound to ``home_shard``, the shard its
+        fetch traffic is counted against.
+        """
         self._require_prepared()
         assert self._store is not None and self._stationary is not None
-        return ShardEngine(
+        return BatchEngine(
             self.classifiers,
             self.policy,
             self.config,
-            self._store,
+            self._store.row_source(home_shard),
             self._stationary,
-            home_shard=home_shard,
         )
 
     def shard_view(self, shard_id: int) -> ShardServingView:
@@ -257,41 +233,15 @@ class ShardedPredictor:
     ) -> InferenceResult:
         """Classify ``node_ids`` — bit-identical to the unsharded predictor.
 
-        The batching loop is byte-for-byte the ``NAIPredictor.predict``
-        logic (consecutive ``batch_size`` slices, merged breakdowns); each
-        batch runs on the engine of the shard owning its first target, whose
-        store-assembled bundle and sharded stationary state reproduce the
-        unsharded inputs exactly.
+        The batching loop is ``NAIPredictor.predict``'s
+        (:func:`~repro.core.inference.predict_in_batches`); each batch runs
+        on the engine of the shard owning its first target.
         """
         self._require_prepared()
-        assert self._store is not None
-        node_ids = np.asarray(node_ids, dtype=np.int64)
-        if node_ids.size == 0:
-            raise ConfigurationError("predict requires at least one node")
-        predictions = np.full(node_ids.shape[0], -1, dtype=np.int64)
-        depths = np.zeros(node_ids.shape[0], dtype=np.int64)
-        logits_store: dict[int, np.ndarray] = {}
-        macs = MACBreakdown()
-        timings = TimingBreakdown()
-
-        offset = 0
-        for batch in batch_iterator(node_ids, self.config.batch_size):
-            home = int(self._store.plan.owner[batch[0]])
-            batch_result = self._engines[home].run_batch(batch, keep_logits=keep_logits)
-            macs = macs.merged_with(batch_result.macs)
-            timings = timings.merged_with(batch_result.timings)
-            predictions[offset:offset + batch.shape[0]] = batch_result.predictions
-            depths[offset:offset + batch.shape[0]] = batch_result.depths
-            offset += batch.shape[0]
-            if keep_logits:
-                logits_store.update(batch_result.logits)
-
-        return InferenceResult(
-            node_ids=node_ids,
-            predictions=predictions,
-            depths=depths,
-            macs=macs,
-            timings=timings,
-            max_depth=self.config.t_max,
-            logits=logits_store,
+        owner = self.store.plan.owner
+        return predict_in_batches(
+            node_ids,
+            self.config,
+            lambda batch: self._engines[int(owner[batch[0]])],
+            keep_logits=keep_logits,
         )

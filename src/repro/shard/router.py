@@ -56,6 +56,7 @@ from ..serving.queue import (
     InferenceRequest,
     ServingResponse,
     SubmitOptions,
+    checked_node_ids,
 )
 from ..serving.server import InferenceServer
 from ..serving.stats import ServingStatsSnapshot
@@ -363,6 +364,9 @@ class ShardRouter:
         """
         if options is None:
             options = SubmitOptions()
+        # Every plan partitions the same graph, so any generation's store
+        # bounds the ids; a rejected request is never counted as routed.
+        node_ids = checked_node_ids(node_ids, self._active.predictor.store.num_nodes)
         with self._plan_lock:
             if self._closed:
                 raise ServingError("the shard router is closed")
@@ -371,11 +375,6 @@ class ShardRouter:
             # draining) on the generation it was admitted to.
             generation = self._active
             generation.count_routed()
-        node_ids = np.asarray(node_ids, dtype=np.int64)
-        if node_ids.ndim != 1 or node_ids.size == 0:
-            raise ConfigurationError(
-                "a routed request needs a non-empty 1-D array of node ids"
-            )
         owners = generation.predictor.store.owner_of(node_ids)
         route_ctx = None
         submitted_at = None

@@ -1,4 +1,4 @@
-"""Sharded graph store: per-shard CSR blocks with halo maps, bundle assembly.
+"""Sharded graph store: per-shard CSR blocks with halo maps, a row source.
 
 Construction (``ShardedGraphStore.from_graph``) is the offline partitioning
 job: it has the full graph, splits it under a :class:`ShardPlan` and builds
@@ -19,42 +19,47 @@ full-graph state beyond O(n) ownership vectors.  Each shard holds:
 Columns of both blocks are numbered within ``col_global`` — the *sorted*
 union of owned and halo ids.  Sorted local numbering is load-bearing: it
 keeps every row's entries in ascending-global-column order, exactly as the
-global CSR stores them, so cross-shard bundle assembly reproduces the
-single-process :func:`~repro.graph.sampling.build_support_bundle` output
-array-for-array (same node ordering, same CSR entry order, same values) and
-the fused engine's per-row summation order — hence predictions — cannot
-drift.
+global CSR stores them, so the rows a shard serves are the global rows
+array-for-array (same CSR entry order, same values) and the fused engine's
+per-row summation order — hence predictions — cannot drift.
 
-Serving (``build_support_bundle``) is the online path: a k-hop BFS whose
-frontier expansion queries the owner shard of each frontier node, followed
-by row fetches that stitch each shard's Â-rows into one local CSR in hop
-order.  Every fetch goes through a pluggable
-:class:`~repro.transport.ShardTransport` — in-process zero-copy by default
-(:class:`~repro.transport.LocalTransport`), swappable for the TCP backend
-(:class:`~repro.transport.SocketTransport`) or the fault-injecting test
-wrapper via :class:`~repro.serving.cluster.ClusterBuilder` — and each hop's
-per-shard requests form one transport *round*, which is the unit the socket
-backend pipelines.  Per-shard fetch counters (:class:`ShardTraffic`)
-quantify the cross-shard rows *and bytes* a networked deployment pays.
+Serving is the online path.  :meth:`ShardedGraphStore.row_source` binds the
+store to a home shard as a :class:`~repro.graph.sampling.RowSource`, and the
+one support builder (:func:`~repro.graph.sampling.build_support_bundle`)
+runs over it: each BFS hop asks the owners of the frontier for their
+neighbours, then one round fetches the batch's Â rows (stitched into one
+local CSR in hop order) and one round its hop-0 features.  Every fetch goes
+through a pluggable :class:`~repro.transport.ShardTransport` — in-process
+zero-copy by default (:class:`~repro.transport.LocalTransport`), swappable
+for the TCP backend (:class:`~repro.transport.SocketTransport`) or the
+fault-injecting test wrapper via
+:class:`~repro.serving.cluster.ClusterBuilder` — and each call's per-shard
+requests form one transport *round*, which is the unit the socket backend
+pipelines.  Per-shard fetch counters (:class:`ShardTraffic`) quantify the
+cross-shard rows *and bytes* a networked deployment pays.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..core.config import ShardConfig
 from ..exceptions import GraphConstructionError
-from ..graph.kernels import _flat_nnz_positions
+from ..graph.kernels import _flat_nnz_positions, select_local_csr
 from ..graph.normalization import NormalizationScheme, resolve_gamma
-from ..graph.sampling import SupportBundle, SupportingSubgraph
 from ..graph.sparse import CSRGraph
 from ..transport import LocalTransport, ShardTransport
-from ..transport.base import payload_nbytes
+from ..transport.base import (
+    OP_ADJACENCY,
+    OP_DEGREES,
+    OP_FEATURES,
+    OP_FRONTIER,
+    payload_nbytes,
+)
 from .partitioner import GraphPartitioner, ShardPlan
 
 
@@ -127,6 +132,15 @@ class GraphShard:
         return int(sum(a.nbytes for a in arrays))
 
 
+#: Transport op -> the (local, remote) :class:`ShardTraffic` row counters.
+_TRAFFIC_COUNTERS = {
+    OP_FRONTIER: ("frontier_cols_local", "frontier_cols_remote"),
+    OP_ADJACENCY: ("adjacency_rows_local", "adjacency_rows_remote"),
+    OP_FEATURES: ("feature_rows_local", "feature_rows_remote"),
+    OP_DEGREES: ("degree_rows_local", "degree_rows_remote"),
+}
+
+
 @dataclass
 class ShardTraffic:
     """Counters of cross-shard data movement during bundle assembly.
@@ -154,6 +168,15 @@ class ShardTraffic:
     bytes_local: int = 0
     bytes_remote: int = 0
 
+    def count(self, op: str, local: bool, rows: int, nbytes: int) -> None:
+        """Fold one request/response pair of ``op`` into the counters."""
+        name = _TRAFFIC_COUNTERS[op][0 if local else 1]
+        setattr(self, name, getattr(self, name) + rows)
+        if local:
+            self.bytes_local += nbytes
+        else:
+            self.bytes_remote += nbytes
+
     def as_dict(self) -> dict:
         remote = self.adjacency_rows_remote + self.feature_rows_remote
         local = self.adjacency_rows_local + self.feature_rows_local
@@ -179,7 +202,7 @@ class ShardTraffic:
 
 @dataclass
 class ShardedGraphStore:
-    """Owns the shards and serves cross-shard k-hop bundle assembly."""
+    """Owns the shards and serves their rows to the support builder."""
 
     plan: ShardPlan
     shards: list[GraphShard]
@@ -351,51 +374,37 @@ class ShardedGraphStore:
         """The per-shard tiered feature stores (empty when not tiered)."""
         return list(self._feature_tiers)
 
-    def _requests_by_owner(
-        self, node_ids: np.ndarray
-    ) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """Group ``node_ids`` into per-owner ``(shard_id, mask, rows)`` requests.
+    def _fetch_round(
+        self, op: str, node_ids: np.ndarray, home_shard: int | None
+    ) -> list[tuple[np.ndarray, object]]:
+        """One owner-grouped transport round of ``op`` over ``node_ids``.
 
-        Shards are visited in ascending id — the same order the
-        pre-transport per-shard loops used — so stitched outputs stay
-        bit-identical.
+        Groups the ids by owner, issues every owner's request as one
+        (traced) round, counts the traffic against ``home_shard`` and
+        returns ``(mask, response)`` per owner — ``mask`` selects the owner's
+        ids within ``node_ids``.  Owners come in ascending shard id, so
+        stitched outputs do not depend on the backend's answer order.
         """
         owners = self.plan.owner[node_ids]
-        rows = self._local_row[node_ids]
+        local_rows = self._local_row[node_ids]
         requests = []
         for shard_id in range(self.num_shards):
             mask = owners == shard_id
             if mask.any():
-                requests.append((shard_id, mask, rows[mask]))
-        return requests
-
-    def _count_traffic(
-        self,
-        home_shard: int | None,
-        shard_id: int,
-        rows: np.ndarray,
-        payload,
-        local_attr: str,
-        remote_attr: str,
-    ) -> None:
-        """Fold one request/response pair into the traffic counters."""
-        if home_shard is None:
-            return
-        count = int(rows.shape[0])
-        nbytes = int(rows.nbytes) + payload_nbytes(payload)
-        with self._traffic_lock:
-            if shard_id == home_shard:
-                setattr(
-                    self.traffic, local_attr,
-                    getattr(self.traffic, local_attr) + count,
-                )
-                self.traffic.bytes_local += nbytes
-            else:
-                setattr(
-                    self.traffic, remote_attr,
-                    getattr(self.traffic, remote_attr) + count,
-                )
-                self.traffic.bytes_remote += nbytes
+                requests.append((shard_id, mask, local_rows[mask]))
+        if not requests:
+            return []
+        responses = self._traced_fetch(
+            op, [(shard_id, rows) for shard_id, _, rows in requests]
+        )
+        if home_shard is not None:
+            with self._traffic_lock:
+                for (shard_id, _, rows), response in zip(requests, responses):
+                    self.traffic.count(
+                        op, shard_id == home_shard, int(rows.shape[0]),
+                        int(rows.nbytes) + payload_nbytes(response),
+                    )
+        return [(mask, response) for (_, mask, _), response in zip(requests, responses)]
 
     def _traced_fetch(self, op: str, requests: list) -> list:
         """Issue one transport round, as a ``fetch.round`` span when traced.
@@ -572,195 +581,13 @@ class ShardedGraphStore:
         """Row of each node within its owner's block."""
         return self._local_row[np.asarray(node_ids, dtype=np.int64)]
 
-    # ------------------------------------------------------------------ #
-    # Cross-shard k-hop expansion
-    # ------------------------------------------------------------------ #
-    def k_hop_neighborhood(
-        self, targets: np.ndarray, depth: int, *, home_shard: int | None = None
-    ) -> SupportingSubgraph:
-        """Sharded BFS, bit-identical to the single-graph implementation.
+    def row_source(self, home_shard: int | None = None) -> "ShardRowSource":
+        """This store as a :class:`~repro.graph.sampling.RowSource`.
 
-        The global BFS deduplicates each hop's neighbour list with a boolean
-        scatter and emits the new frontier sorted ascending; both steps are
-        order-insensitive, so gathering neighbours shard-by-shard (instead
-        of row-by-row over one CSR) yields the same hop sets, the same
-        hop-sorted node ordering, and the same ``target_local`` map.
+        Traffic is counted against ``home_shard`` — the shard whose workers
+        build the bundles; ``None`` counts no rows (bundles still count).
         """
-        targets = np.asarray(targets, dtype=np.int64)
-        if targets.size == 0:
-            raise GraphConstructionError("k_hop_neighborhood requires a non-empty batch")
-        if targets.min() < 0 or targets.max() >= self.num_nodes:
-            raise GraphConstructionError("target node ids out of range")
-        if depth < 0:
-            raise ValueError(f"depth must be non-negative, got {depth}")
-
-        visited = np.zeros(self.num_nodes, dtype=bool)
-        newly = np.zeros(self.num_nodes, dtype=bool)
-        hop_of = np.full(self.num_nodes, -1, dtype=np.int64)
-        frontier = np.unique(targets)
-        visited[frontier] = True
-        hop_of[frontier] = 0
-        order = [frontier]
-        for hop in range(1, depth + 1):
-            if frontier.size == 0:
-                break
-            neighbor_ids = self._gather_frontier_columns(frontier, home_shard)
-            neighbor_ids = neighbor_ids[~visited[neighbor_ids]]
-            if neighbor_ids.size == 0:
-                frontier = neighbor_ids
-                continue
-            newly[neighbor_ids] = True
-            new = np.flatnonzero(newly)
-            newly[new] = False
-            visited[new] = True
-            hop_of[new] = hop
-            order.append(new)
-            frontier = new
-
-        node_ids = np.concatenate(order)
-        lookup = np.full(self.num_nodes, -1, dtype=np.int64)
-        lookup[node_ids] = np.arange(node_ids.shape[0], dtype=np.int64)
-        return SupportingSubgraph(
-            node_ids=node_ids,
-            target_local=lookup[targets],
-            adjacency=None,
-            hops=hop_of[node_ids],
-            global_to_local=lookup,
-        )
-
-    def _gather_frontier_columns(
-        self, frontier: np.ndarray, home_shard: int | None
-    ) -> np.ndarray:
-        """Concatenated (global) neighbour ids of ``frontier``, per owner shard.
-
-        One transport round per BFS hop: all owner-shard requests are issued
-        together, which is exactly what the socket backend pipelines.
-        """
-        requests = self._requests_by_owner(frontier)
-        if not requests:
-            return np.empty(0, dtype=np.int64)
-        pieces = self._traced_fetch(
-            "frontier_columns", [(shard_id, rows) for shard_id, _, rows in requests]
-        )
-        for (shard_id, _, rows), piece in zip(requests, pieces):
-            self._count_traffic(
-                home_shard, shard_id, rows, piece,
-                "frontier_cols_local", "frontier_cols_remote",
-            )
-        if len(pieces) == 1:
-            return np.asarray(pieces[0], dtype=np.int64)
-        return np.concatenate(pieces)
-
-    # ------------------------------------------------------------------ #
-    # Bundle assembly
-    # ------------------------------------------------------------------ #
-    def build_support_bundle(
-        self, targets: np.ndarray, depth: int, *, home_shard: int | None = None
-    ) -> SupportBundle:
-        """Assemble the batch's :class:`SupportBundle` from the shard blocks.
-
-        Produces arrays bit-identical to the single-process
-        :func:`~repro.graph.sampling.build_support_bundle`: same hop-ordered
-        node ids, same local CSR entry order (each shard's rows keep their
-        ascending-global-column order, stitched back in node order), same
-        values and dtypes.  The graph-sized lookup is dropped from the
-        stored subgraph exactly like the global path does.
-        """
-        start = time.perf_counter()
-        support = self.k_hop_neighborhood(targets, depth, home_shard=home_shard)
-        node_ids = support.node_ids
-        assert support.global_to_local is not None
-        indptr, indices, data = self._assemble_local_csr(
-            node_ids, support.global_to_local, home_shard
-        )
-        local_features = self._gather_features(node_ids, home_shard)
-        with self._traffic_lock:
-            self.traffic.bundles_assembled += 1
-        return SupportBundle(
-            support=replace(support, global_to_local=None),
-            indptr=indptr,
-            indices=indices,
-            data=data,
-            local_features=local_features,
-            build_seconds=time.perf_counter() - start,
-        )
-
-    def _assemble_local_csr(
-        self, node_ids: np.ndarray, lookup: np.ndarray, home_shard: int | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stitch per-owner Â rows into ``matrix[node_ids][:, node_ids]`` form.
-
-        One ``adjacency_rows`` transport round fetches every owner's rows;
-        the responses (per-row lengths + flat global columns + values) are
-        scattered into node order, so the stitched arrays are identical to
-        slicing one global CSR regardless of which backend served them.
-        """
-        index_dtype = self.shards[0].nrm_indices.dtype
-        requests = self._requests_by_owner(node_ids)
-        responses = self._traced_fetch(
-            "adjacency_rows", [(shard_id, rows) for shard_id, _, rows in requests]
-        )
-
-        lengths = np.empty(node_ids.shape[0], dtype=np.int64)
-        for (shard_id, mask, rows), response in zip(requests, responses):
-            lengths[mask] = response.lengths
-            self._count_traffic(
-                home_shard, shard_id, rows, response,
-                "adjacency_rows_local", "adjacency_rows_remote",
-            )
-        row_ends = np.cumsum(lengths)
-        total = int(row_ends[-1]) if lengths.size else 0
-        if total == 0:
-            empty_ptr = np.zeros(node_ids.shape[0] + 1, dtype=index_dtype)
-            return (
-                empty_ptr,
-                np.empty(0, dtype=index_dtype),
-                np.empty(0, dtype=self.dtype),
-            )
-
-        cols_global = np.empty(total, dtype=np.int64)
-        data_flat = np.empty(total, dtype=self.dtype)
-        starts = row_ends - lengths
-        for (shard_id, mask, _), response in zip(requests, responses):
-            seg_lengths = np.asarray(response.lengths, dtype=np.int64)
-            seg_ends = np.cumsum(seg_lengths)
-            # Destination positions: each fetched row lands in its node's
-            # segment of the stitched arrays, preserving hop order.
-            base = np.repeat(starts[mask], seg_lengths)
-            within = np.arange(
-                int(seg_ends[-1]) if seg_ends.size else 0, dtype=np.int64
-            ) - np.repeat(seg_ends - seg_lengths, seg_lengths)
-            dest = base + within
-            cols_global[dest] = response.columns
-            data_flat[dest] = response.data
-
-        # Mirror extract_local_csr_arrays: remap to bundle-local columns and
-        # drop entries outside the neighbourhood.
-        cols = lookup[cols_global]
-        keep = cols >= 0
-        kept_before = np.concatenate(([0], np.cumsum(keep)))
-        gathered_indptr = np.concatenate(([0], row_ends))
-        new_indptr = kept_before[gathered_indptr].astype(index_dtype)
-        new_indices = cols[keep].astype(index_dtype)
-        new_data = data_flat[keep]
-        return new_indptr, new_indices, new_data
-
-    def _gather_features(
-        self, node_ids: np.ndarray, home_shard: int | None
-    ) -> np.ndarray:
-        """Hop-0 feature rows of ``node_ids``, fetched from their owners."""
-        out = np.empty((node_ids.shape[0], self.num_features), dtype=self.dtype)
-        requests = self._requests_by_owner(node_ids)
-        responses = self._traced_fetch(
-            "feature_rows", [(shard_id, rows) for shard_id, _, rows in requests]
-        )
-        for (shard_id, mask, rows), response in zip(requests, responses):
-            out[mask] = response
-            self._count_traffic(
-                home_shard, shard_id, rows, response,
-                "feature_rows_local", "feature_rows_remote",
-            )
-        return out
+        return ShardRowSource(self, home_shard)
 
     def fetch_degrees(
         self, node_ids: np.ndarray, *, home_shard: int | None = None
@@ -777,16 +604,8 @@ class ShardedGraphStore:
         ):
             raise GraphConstructionError("node ids out of range")
         out = np.empty(node_ids.shape[0], dtype=np.float64)
-        requests = self._requests_by_owner(node_ids)
-        responses = self._traced_fetch(
-            "degree_rows", [(shard_id, rows) for shard_id, _, rows in requests]
-        )
-        for (shard_id, mask, rows), response in zip(requests, responses):
+        for mask, response in self._fetch_round(OP_DEGREES, node_ids, home_shard):
             out[mask] = response
-            self._count_traffic(
-                home_shard, shard_id, rows, response,
-                "degree_rows_local", "degree_rows_remote",
-            )
         return out
 
     # ------------------------------------------------------------------ #
@@ -829,3 +648,68 @@ class ShardedGraphStore:
                 tier["cold_nbytes"] for tier in tiers
             )
         return report
+
+
+class ShardRowSource:
+    """A :class:`ShardedGraphStore` bound to a home shard, as a row source.
+
+    Every call is one owner-grouped transport round (a ``fetch.round`` span
+    when traced), so a bundle of depth ``k`` costs at most ``k`` frontier
+    rounds, one Â-row round and one feature round whatever the backend.
+    Responses arrive in global ids with each row's entries in ascending
+    global-column order — the global CSR's order — so the stitched arrays
+    equal :class:`~repro.graph.sampling.LocalRowSource`'s array for array.
+    """
+
+    def __init__(self, store: ShardedGraphStore, home_shard: int | None = None) -> None:
+        self.store = store
+        self.home_shard = home_shard
+
+    @property
+    def num_nodes(self) -> int:
+        return self.store.num_nodes
+
+    def neighbors(self, frontier: np.ndarray) -> np.ndarray:
+        pieces = [
+            response
+            for _, response in self.store._fetch_round(OP_FRONTIER, frontier, self.home_shard)
+        ]
+        if not pieces:
+            return np.empty(0, dtype=np.int64)
+        if len(pieces) == 1:
+            return np.asarray(pieces[0], dtype=np.int64)
+        return np.concatenate(pieces)
+
+    def local_csr(
+        self, node_ids: np.ndarray, lookup: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stitch per-owner Â rows into ``Â[node_ids][:, node_ids]`` form.
+
+        The owners' answers, concatenated, form one CSR block holding the
+        nodes' rows in owner order; selecting them back in node order is
+        the same kernel the in-process source runs on the global Â.
+        """
+        store = self.store
+        answers = store._fetch_round(OP_ADJACENCY, node_ids, self.home_shard)
+        lengths = np.concatenate([np.asarray(adj.lengths) for _, adj in answers])
+        in_owner_order = np.concatenate([np.flatnonzero(mask) for mask, _ in answers])
+        position = np.empty(node_ids.shape[0], dtype=np.int64)
+        position[in_owner_order] = np.arange(node_ids.shape[0], dtype=np.int64)
+        return select_local_csr(
+            np.concatenate(([0], np.cumsum(lengths))),
+            np.concatenate([adj.columns for _, adj in answers]),
+            np.concatenate([adj.data for _, adj in answers]),
+            position,
+            lookup,
+            store.shards[0].nrm_indices.dtype,
+        )
+
+    def feature_rows(self, node_ids: np.ndarray) -> np.ndarray:
+        """Hop-0 feature rows; answering them completes a bundle."""
+        store = self.store
+        out = np.empty((node_ids.shape[0], store.num_features), dtype=store.dtype)
+        for mask, response in store._fetch_round(OP_FEATURES, node_ids, self.home_shard):
+            out[mask] = response
+        with store._traffic_lock:
+            store.traffic.bundles_assembled += 1
+        return out

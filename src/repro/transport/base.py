@@ -1,12 +1,13 @@
 """The shard transport interface: how bundle assembly fetches remote rows.
 
-:class:`~repro.shard.store.ShardedGraphStore` assembles cross-shard
-k-hop :class:`~repro.graph.sampling.SupportBundle`\\ s out of exactly four
-fetch primitives, extracted here as :class:`ShardTransport` operations:
+:class:`~repro.shard.store.ShardedGraphStore` reaches its shards through
+exactly four fetch primitives, extracted here as :class:`ShardTransport`
+operations.  The first three serve the one support builder through the
+store's row source (:class:`~repro.shard.store.ShardRowSource`):
 
 ``frontier_columns``
-    The concatenated global neighbour ids of a set of owned rows — the BFS
-    frontier expansion of :meth:`ShardedGraphStore.k_hop_neighborhood`.
+    The concatenated global neighbour ids of a set of owned rows — one BFS
+    hop of :func:`~repro.graph.sampling.k_hop_neighborhood`.
 ``adjacency_rows``
     The normalized-adjacency rows of a set of owned rows, as per-row lengths
     plus flat global column ids and values — the substrate of local-CSR
@@ -22,7 +23,7 @@ backend writes every request of a round before reading the first response,
 so one cross-shard hop costs one round trip instead of one per shard.
 
 All responses are expressed in *global* ids and deployment dtypes, so the
-store's assembly code is transport-agnostic and — because every backend
+row source is transport-agnostic and — because every backend
 returns the same arrays — bundles are bit-identical across backends.
 
 Backends

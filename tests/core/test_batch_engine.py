@@ -32,7 +32,7 @@ class TestEngineLifecycle:
 
     def test_engines_share_read_only_state(self, deployed):
         first, second = deployed.make_engine(), deployed.make_engine()
-        assert first.features is second.features
+        assert first.rows is second.rows
         assert first.a_hat is second.a_hat
         assert first.stationary is second.stationary
         assert first is not second

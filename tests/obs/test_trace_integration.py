@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import ServingConfig, ShardConfig
 from repro.graph.generators import SyntheticGraphSpec, generate_community_graph
+from repro.graph.sampling import build_support_bundle
 from repro.obs import CriticalPathAnalyzer, TraceRecorder, Tracer, load_spans_jsonl
 from repro.serving import FakeClock, InferenceServer
 from repro.shard import ShardedGraphStore
@@ -66,8 +67,8 @@ class TestWireTracePropagation:
 class TestVirtualTimeSpans:
     def test_fetch_rounds_land_on_exact_virtual_ticks(self):
         store = make_store()
-        reference = store.build_support_bundle(
-            np.arange(12, dtype=np.int64), depth=2, home_shard=0
+        reference = build_support_bundle(
+            store.row_source(0), np.arange(12, dtype=np.int64), 2
         )
         clock = FakeClock()
         tracer = Tracer(clock=clock)
@@ -79,8 +80,8 @@ class TestVirtualTimeSpans:
         store._set_tracer(tracer)
         root = tracer.new_trace()
         with tracer.activate(root):
-            bundle = store.build_support_bundle(
-                np.arange(12, dtype=np.int64), depth=2, home_shard=0
+            bundle = build_support_bundle(
+                store.row_source(0), np.arange(12, dtype=np.int64), 2
             )
         spans = tracer.spans()
         assert spans and all(span.name == "fetch.round" for span in spans)
@@ -105,8 +106,8 @@ class TestVirtualTimeSpans:
         tracer = Tracer(clock=FakeClock())
         store._set_tracer(tracer)
         # No activated context: the fetch sites must not allocate spans.
-        store.build_support_bundle(
-            np.arange(6, dtype=np.int64), depth=2, home_shard=0
+        build_support_bundle(
+            store.row_source(0), np.arange(6, dtype=np.int64), 2
         )
         assert tracer.spans() == []
 
@@ -224,8 +225,8 @@ class TestShardLoadAttribution:
         root = tracer.new_trace()
         with tracer.activate(root):
             for start in range(0, min(owned.shape[0], 40), 8):
-                store.build_support_bundle(
-                    owned[start:start + 8], depth=2, home_shard=home
+                build_support_bundle(
+                    store.row_source(home), owned[start:start + 8], 2
                 )
         spans = tracer.spans()
         analyzer = CriticalPathAnalyzer(spans)
@@ -303,8 +304,8 @@ class TestCrossProcessStitching:
                 processes.append(process)
                 assert ready.wait(10.0)
                 addresses.append(("127.0.0.1", port_out.value))
-            reference = store.build_support_bundle(
-                np.arange(10, dtype=np.int64), depth=2, home_shard=1
+            reference = build_support_bundle(
+                store.row_source(1), np.arange(10, dtype=np.int64), 2
             )
             tracer = Tracer()
             transport = SocketTransport(addresses, timeout_seconds=10.0)
@@ -313,8 +314,8 @@ class TestCrossProcessStitching:
             root = tracer.new_trace()
             start = tracer.clock.now()
             with tracer.activate(root), transport:
-                bundle = store.build_support_bundle(
-                    np.arange(10, dtype=np.int64), depth=2, home_shard=1
+                bundle = build_support_bundle(
+                    store.row_source(1), np.arange(10, dtype=np.int64), 2
                 )
             tracer.emit("request", root, start, tracer.clock.now())
         finally:

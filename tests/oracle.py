@@ -42,7 +42,7 @@ class ReferenceEngine(BatchEngine):
         batch = np.asarray(batch, dtype=np.int64)
         self.batches_run += 1
         cfg = self.config
-        num_features = self.features.shape[1]
+        num_features = self.rows.features.shape[1]
         macs = MACBreakdown()
         timings = TimingBreakdown()
 
@@ -51,7 +51,7 @@ class ReferenceEngine(BatchEngine):
         start = time.perf_counter()
         node_ids, target_local, local_adj = self._support(batch, cfg.t_max)
         timings.sampling += time.perf_counter() - start
-        local_features = self.features[node_ids]
+        local_features = self.rows.features[node_ids]
 
         predictions = np.full(batch.shape[0], -1, dtype=np.int64)
         assigned_depth = np.zeros(batch.shape[0], dtype=np.int64)
@@ -115,8 +115,8 @@ class ReferenceEngine(BatchEngine):
         Per-hop scipy row slicing with ``np.unique`` deduplication and a
         Python-dict local index, as the seed sampled.
         """
-        adjacency = self.graph.adjacency
-        visited = np.zeros(self.graph.num_nodes, dtype=bool)
+        adjacency = self.rows.graph.adjacency
+        visited = np.zeros(self.rows.num_nodes, dtype=bool)
         frontier = np.unique(batch)
         visited[frontier] = True
         order = [frontier]
@@ -130,7 +130,7 @@ class ReferenceEngine(BatchEngine):
         node_ids = np.concatenate(order)
         local_index = {int(g): i for i, g in enumerate(node_ids)}
         target_local = np.asarray([local_index[int(t)] for t in batch], dtype=np.int64)
-        return node_ids, target_local, self.a_hat[node_ids][:, node_ids].tocsr()
+        return node_ids, target_local, self.rows.a_hat[node_ids][:, node_ids].tocsr()
 
     @staticmethod
     def _rows_needed(
@@ -153,8 +153,7 @@ def oracle_engine(predictor) -> ReferenceEngine:
     """A :class:`ReferenceEngine` over a prepared ``NAIPredictor``'s state."""
     engine = predictor.make_engine()
     return ReferenceEngine(
-        engine.classifiers, engine.policy, engine.config,
-        engine.graph, engine.features, engine.a_hat, engine.stationary,
+        engine.classifiers, engine.policy, engine.config, engine.rows, engine.stationary,
     )
 
 

@@ -16,13 +16,7 @@ def deployed(trained_nai, tiny_dataset):
 
 
 def bundle_for(deployed, batch) -> SupportBundle:
-    return build_support_bundle(
-        deployed._graph,
-        deployed._a_hat,
-        deployed._features,
-        batch,
-        deployed.config.t_max,
-    )
+    return build_support_bundle(deployed._rows, batch, deployed.config.t_max)
 
 
 class TestCacheKey:

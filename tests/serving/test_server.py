@@ -62,6 +62,39 @@ class TestServerValidation:
             server.submit(np.array([0]))
 
 
+class TestBadIdsFailOnlyTheirOwnRequest:
+    def test_out_of_range_ids_are_rejected_at_submit(self, deployed, tiny_dataset):
+        """Good, bad and good requests in one batching window: the bad ones
+        are refused at the door, the good ones are served exactly."""
+        num_nodes = tiny_dataset.graph.num_nodes
+        good = [np.array([1, 2, 3]), np.array([4, 5])]
+        config = serving_config(num_workers=1, max_batch_size=64, max_wait_ms=200.0)
+        with InferenceServer(deployed, config) as server:
+            enqueued = []
+            put = server.queue.put
+
+            def recording_put(request, timeout=None):
+                enqueued.append(request.node_ids)
+                return put(request, timeout=timeout)
+
+            server.queue.put = recording_put
+            first = server.submit(good[0])
+            for bad in ([num_nodes + 5], [num_nodes], [-1], [2, -1, 3]):
+                with pytest.raises(ConfigurationError, match="node ids must lie in"):
+                    server.submit(np.array(bad))
+            second = server.submit(good[1])
+            responses = [first.result(timeout=30.0), second.result(timeout=30.0)]
+            stats = server.stats()
+        oracle = oracle_engine(deployed)
+        for request, response in zip(good, responses):
+            expected = oracle.run_batch(request)
+            np.testing.assert_array_equal(response.predictions, expected.predictions)
+            np.testing.assert_array_equal(response.depths, expected.depths)
+        assert responses[0].batch_id == responses[1].batch_id  # one window
+        assert [ids.tolist() for ids in enqueued] == [ids.tolist() for ids in good]
+        assert stats.requests_completed == 2 and stats.requests_failed == 0
+
+
 class TestServedEquivalence:
     def test_same_batches_give_bit_identical_results(
         self, deployed, sequential, tiny_dataset
@@ -206,27 +239,22 @@ class TestDispatcherResilience:
     ):
         """A malformed request must not kill the dispatcher or hang close().
 
-        With the cache enabled the out-of-range id surfaces in the
-        dispatcher's bundle build; without it, in the worker — either way
-        only the offending request fails and the server keeps serving.
+        The out-of-range id is refused at submit, before the queue, so
+        neither the dispatcher's bundle build (cache on) nor a worker
+        (cache off) ever sees it, and the server keeps serving.
         """
         test_idx = np.asarray(tiny_dataset.split.test_idx)
         with InferenceServer(
             deployed, serving_config(cache_capacity=cache_capacity, max_wait_ms=0.0)
         ) as server:
-            # Await each response before the next submit so the malformed
-            # request cannot be coalesced with a healthy one (a shared
-            # micro-batch fails as a unit, by design).
-            bad = server.submit(np.array([10**9]))
-            with pytest.raises(Exception) as excinfo:
-                bad.result(timeout=10.0)
-            assert "out of range" in str(excinfo.value)
+            with pytest.raises(ConfigurationError, match="node ids must lie in"):
+                server.submit(np.array([10**9]))
             response = server.submit(test_idx[:8]).result(timeout=10.0)
             assert response.predictions.shape == (8,)
             late = server.submit(test_idx[8:16]).result(timeout=10.0)
             assert late.predictions.shape == (8,)
             stats = server.stats()
-        assert stats.requests_failed == 1
+        assert stats.requests_failed == 0
         assert stats.requests_completed == 2
 
 

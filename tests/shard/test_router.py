@@ -19,6 +19,8 @@ from repro.shard import (
 )
 from repro.metrics.timing import LatencySummary
 
+from oracle import oracle_engine
+
 
 @pytest.fixture(scope="module")
 def unsharded(trained_nai, tiny_dataset):
@@ -93,6 +95,39 @@ class TestRouting:
     def test_unprepared_predictor_rejected(self, trained_nai):
         with pytest.raises(ServingError):
             ShardRouter(ShardedPredictor(trained_nai.classifiers), SERVING)
+
+
+class TestBadIdsFailOnlyTheirOwnRequest:
+    def test_out_of_range_ids_are_rejected_at_submit(
+        self, sharded, unsharded, tiny_dataset
+    ):
+        """Good, bad and good requests in one batching window.  ``-1`` once
+        reached the owner of node ``n - 1`` by negative indexing and failed
+        its batchmates there; every bad id is now refused at the door."""
+        num_nodes = tiny_dataset.graph.num_nodes
+        home = int(sharded.store.owner_of(np.array([num_nodes - 1]))[0])
+        owned = sharded.store.shards[home].owned
+        good = [owned[:3], owned[3:5]]
+        config = ServingConfig(
+            num_workers=1, max_batch_size=64, max_wait_ms=200.0, cache_capacity=8
+        )
+        with ShardRouter(sharded, config) as router:
+            first = router.submit(good[0])
+            for bad in ([-1], [num_nodes], [num_nodes + 5], [owned[0], -1]):
+                with pytest.raises(ConfigurationError, match="node ids must lie in"):
+                    router.submit(np.array(bad))
+            second = router.submit(good[1])
+            responses = [first.result(timeout=30.0), second.result(timeout=30.0)]
+            [state] = router.rollout_state()
+        oracle = oracle_engine(unsharded)
+        for request, response in zip(good, responses):
+            expected = oracle.run_batch(request)
+            np.testing.assert_array_equal(response.predictions, expected.predictions)
+            np.testing.assert_array_equal(response.depths, expected.depths)
+        batch_ids = {r.per_shard[home].batch_id for r in responses}
+        assert len(batch_ids) == 1  # one window on the home shard
+        assert state["requests_routed"] == 2
+        assert state["requests_completed"] == 2 and state["requests_failed"] == 0
 
 
 class TestRoutedResultTimeout:

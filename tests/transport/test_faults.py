@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import ServingConfig, ShardConfig
 from repro.exceptions import TransportError
+from repro.graph.sampling import build_support_bundle
 from repro.serving import InferenceServer
 from repro.shard import ShardedPredictor
 from repro.transport import (
@@ -41,7 +42,7 @@ class TestBundleAssemblyFaults:
         corrupting the store; the retried build is bit-identical."""
         store = sharded.store
         targets = np.arange(12)
-        oracle = store.build_support_bundle(targets, 3)
+        oracle = build_support_bundle(store.row_source(), targets, 3)
 
         # Rounds of a depth-3 build: 3 frontier hops, 1 adjacency, 1 features.
         fault = FaultInjectingTransport(
@@ -51,8 +52,8 @@ class TestBundleAssemblyFaults:
         store._set_transport(fault)
         try:
             with pytest.raises(TransportError, match="injected drop"):
-                store.build_support_bundle(targets, 3)
-            retried = store.build_support_bundle(targets, 3)
+                build_support_bundle(store.row_source(), targets, 3)
+            retried = build_support_bundle(store.row_source(), targets, 3)
         finally:
             store._set_transport(LocalTransport(store.shards))
         for name, mine in _bundle_arrays(retried):
@@ -67,11 +68,11 @@ class TestBundleAssemblyFaults:
         try:
             fault.disconnect()
             with pytest.raises(TransportError):
-                store.build_support_bundle(np.arange(4), 2)
+                build_support_bundle(store.row_source(), np.arange(4), 2)
             with pytest.raises(TransportError):
                 store.fetch_degrees(np.arange(4))
             fault.reconnect()
-            oracle = store.build_support_bundle(np.arange(4), 2)
+            oracle = build_support_bundle(store.row_source(), np.arange(4), 2)
             assert oracle.num_local > 0
         finally:
             store._set_transport(LocalTransport(store.shards))
@@ -83,20 +84,20 @@ class TestSocketFaults:
     ):
         store = sharded.store
         targets = np.arange(10)
-        oracle = store.build_support_bundle(targets, 3)
+        oracle = build_support_bundle(store.row_source(), targets, 3)
         with ShardServerGroup(store.shards) as group:
             transport = group.connect(timeout_seconds=10.0)
             store._set_transport(transport)
             try:
-                first = store.build_support_bundle(targets, 3)
+                first = build_support_bundle(store.row_source(), targets, 3)
                 opened = transport.reconnects
                 for server in group.servers:
                     server.drop_connections()
                 with pytest.raises(TransportError):
-                    store.build_support_bundle(targets, 3)
+                    build_support_bundle(store.row_source(), targets, 3)
                 # Retry once: the transport redials the still-listening
                 # servers and the rebuilt bundle is bit-identical.
-                retried = store.build_support_bundle(targets, 3)
+                retried = build_support_bundle(store.row_source(), targets, 3)
                 assert transport.reconnects > opened
             finally:
                 store._set_transport(LocalTransport(store.shards))
@@ -114,10 +115,10 @@ class TestSocketFaults:
         transport = group.connect(timeout_seconds=5.0)
         store._set_transport(transport)
         try:
-            store.build_support_bundle(np.arange(6), 2)
+            build_support_bundle(store.row_source(), np.arange(6), 2)
             group.stop()
             with pytest.raises(TransportError):
-                store.build_support_bundle(np.arange(6), 2)
+                build_support_bundle(store.row_source(), np.arange(6), 2)
         finally:
             store._set_transport(LocalTransport(store.shards))
             transport.close()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import ShardConfig
 from repro.exceptions import ConfigurationError, TransportError
+from repro.graph.sampling import build_support_bundle
 from repro.serving.clock import FakeClock
 from repro.shard import GraphPartitioner, ShardedPredictor
 from repro.transport import (
@@ -125,10 +126,10 @@ class TestReplicatedTransport:
     def test_bundles_bit_identical_to_plain_local_transport(self, sharded):
         store = sharded.store
         targets = np.arange(14)
-        oracle = store.build_support_bundle(targets, 3)
+        oracle = build_support_bundle(store.row_source(), targets, 3)
         store._set_transport(ReplicatedTransport(_fault_rails(store.shards, 2)))
         try:
-            mine = store.build_support_bundle(targets, 3)
+            mine = build_support_bundle(store.row_source(), targets, 3)
         finally:
             store._set_transport(LocalTransport(store.shards))
         np.testing.assert_array_equal(mine.indptr, oracle.indptr)
@@ -145,7 +146,7 @@ class TestReplicatedTransport:
         try:
             transport = store.transport
             for start in range(0, 60, 12):
-                store.build_support_bundle(np.arange(start, start + 12), 2)
+                build_support_bundle(store.row_source(), np.arange(start, start + 12), 2)
             health = transport.describe()
         finally:
             store._set_transport(LocalTransport(store.shards))
@@ -168,7 +169,7 @@ class TestReplicatedTransport:
         )
         try:
             transport = store.transport
-            oracle_free = store.build_support_bundle(np.arange(10), 3)
+            oracle_free = build_support_bundle(store.row_source(), np.arange(10), 3)
             health = transport.describe()
             stats = transport.stats.as_dict()
         finally:
@@ -194,7 +195,7 @@ class TestReplicatedTransport:
         )
         try:
             with pytest.raises(TransportError, match="all 2 replica") as info:
-                store.build_support_bundle(np.arange(20), 3)
+                build_support_bundle(store.row_source(), np.arange(20), 3)
         finally:
             store._set_transport(LocalTransport(store.shards))
         assert info.value.retryable is False
@@ -216,7 +217,7 @@ class TestReplicatedTransport:
         try:
             transport = store.transport
             for start in range(0, 72, 8):
-                store.build_support_bundle(np.arange(start, start + 8), 2)
+                build_support_bundle(store.row_source(), np.arange(start, start + 8), 2)
             health = transport.describe()
         finally:
             store._set_transport(LocalTransport(store.shards))

@@ -6,6 +6,7 @@ import pytest
 from repro.core import ShardConfig
 from repro.exceptions import GraphConstructionError, TransportError
 from repro.graph.generators import SyntheticGraphSpec, generate_community_graph
+from repro.graph.sampling import build_support_bundle
 from repro.serving import FakeClock
 from repro.shard import ShardedGraphStore
 from repro.transport import (
@@ -293,7 +294,7 @@ class TestStoreTransportPlumbing:
 
     def test_traffic_counts_bytes_with_home_shard(self, store):
         before = store.traffic.bytes_local + store.traffic.bytes_remote
-        store.build_support_bundle(store.shards[0].owned[:6], 2, home_shard=0)
+        build_support_bundle(store.row_source(0), store.shards[0].owned[:6], 2)
         after = store.traffic.bytes_local + store.traffic.bytes_remote
         assert after > before
         payload = store.traffic.as_dict()

@@ -20,6 +20,7 @@ import pytest
 from repro.core import ShardConfig
 from repro.exceptions import TransportError
 from repro.graph.generators import SyntheticGraphSpec, generate_community_graph
+from repro.graph.sampling import build_support_bundle
 from repro.serving import FakeClock
 from repro.shard import ShardedGraphStore
 from repro.transport import (
@@ -143,7 +144,7 @@ class TestMidFrameKillFailover:
     def test_exactly_the_culpable_replica_goes_unhealthy(self, two_shard_store):
         store = two_shard_store
         targets = np.arange(24)
-        oracle = store.build_support_bundle(targets, 3)
+        oracle = build_support_bundle(store.row_source(), targets, 3)
 
         rogue = MidFrameKillServer()
         real = ShardServer(store.shards[1]).start()
@@ -156,7 +157,7 @@ class TestMidFrameKillFailover:
         )
         store._set_transport(transport)
         try:
-            bundle = store.build_support_bundle(targets, 3)
+            bundle = build_support_bundle(store.row_source(), targets, 3)
             health = transport.describe()
             stats = transport.stats.as_dict()
         finally:
@@ -194,7 +195,7 @@ class TestMidFrameKillFailover:
         store._set_transport(transport)
         try:
             with pytest.raises(TransportError) as info:
-                store.build_support_bundle(np.arange(24), 3)
+                build_support_bundle(store.row_source(), np.arange(24), 3)
         finally:
             store._set_transport(LocalTransport(store.shards))
             transport.disconnect()
