@@ -68,7 +68,6 @@ from repro.obs import (
     AutoRebalancer,
     HealthMonitor,
     MemoryAlertSink,
-    MetricsRegistry,
     RebalanceAdvisor,
     SLOEngine,
 )
@@ -164,6 +163,25 @@ def _latency_slo(*, min_events: int) -> SLO:
     )
 
 
+def _recount_burns(slo: SLO, ticks: list[tuple[float, ...]]) -> bool:
+    """Whether ``slo``'s burn condition held after any of ``ticks``.
+
+    ``ticks`` are the latency samples each monitor tick ingested.  In a
+    run shorter than the fast window (minus one bucket) both windows hold
+    every sample, so one burn rate stands for both; with ``for_seconds=0``
+    the alert fires at the first tick where the condition holds.
+    """
+    bad = total = 0
+    for samples in ticks:
+        bad += sum(1 for sample in samples if sample > slo.threshold_seconds)
+        total += len(samples)
+        if total < slo.min_events:
+            continue
+        if bad / total / slo.budget_fraction > slo.burn_rate_threshold:
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------- #
 # Suite 1: monitor overhead on the routed online workload
 # ---------------------------------------------------------------------- #
@@ -191,20 +209,22 @@ def run_monitor_overhead_suite(
         max_batch_size=max_batch_size, max_wait_ms=0.5, cache_capacity=0,
     )
     label = f"{dataset_name}/monitor_overhead/x{num_shards}"
+    slo = _latency_slo(min_events=8)
+    # Per monitored run: did the latency alert fire (recount-confirmed)?
+    alerts_fired: list[bool] = []
     monitor_config = MonitorConfig(
         window_seconds=60.0, num_buckets=12, cadence_seconds=cadence_seconds
     )
 
     def timed_run(mode: str):
-        registry = MetricsRegistry()
-        monitor = engine = None
+        monitor = engine = sink = None
         ticks = 0
-        with ShardRouter(sharded, serving, registry=registry) as router:
+        ingested: list[tuple[float, ...]] = []
+        with ShardRouter(sharded, serving) as router:
             if mode == "monitored":
-                monitor = HealthMonitor(
-                    router, monitor_config, registry=registry
-                )
-                engine = SLOEngine([_latency_slo(min_events=8)])
+                monitor = HealthMonitor(router, monitor_config)
+                sink = MemoryAlertSink()
+                engine = SLOEngine([slo], sinks=[sink])
             # Untimed warmup: worker threads spin up lazily and the first
             # submissions pay import/allocation costs that belong to
             # neither mode.  Results are discarded; the timed pass below
@@ -224,14 +244,26 @@ def run_monitor_overhead_suite(
                         health = monitor.maybe_tick()
                         if health is not None:
                             engine.tick(health)
+                            ingested.append(health.interval_latency_samples)
                 wall = time.perf_counter() - start
             if monitor is not None:
                 ticks = monitor.ticks
-                if engine.firing():
+                # Wall-clock latencies on a shared machine may breach the
+                # threshold, so whether the alert fires is not the check;
+                # that it fires exactly when the ingested samples burn is.
+                if wall >= slo.fast_window_seconds / 2:
                     raise AssertionError(
-                        f"{label}: latency SLO fired on the uncongested "
-                        "overhead workload"
+                        f"{label}: a {wall:.1f}s run is too long for the "
+                        "alert recount (samples may leave the fast window)"
                     )
+                fired = FIRING in sink.states(slo.name)
+                burning = _recount_burns(slo, ingested)
+                if fired != burning:
+                    raise AssertionError(
+                        f"{label}: latency SLO fired={fired}, but the recount "
+                        f"of the ingested samples says burning={burning}"
+                    )
+                alerts_fired.append(fired)
             macs = _routed_macs(responses)
         _assert_equal(
             f"{label}/{mode}", "predictions",
@@ -310,6 +342,8 @@ def run_monitor_overhead_suite(
         "nodes": int(sum(r.shape[0] for r in requests)),
         "repeats": repeats,
         "monitor_ticks": monitor_ticks,
+        "monitored_runs": len(alerts_fired),
+        "alert_fired_runs": sum(alerts_fired),
         "cadence_seconds": monitor_config.cadence_seconds,
         "run_macs": reference_macs,
         "bare_wall_seconds": walls["bare"],
@@ -399,8 +433,7 @@ def run_auto_rebalance_suite(
 
     def run(monitored: bool) -> dict:
         fake = FakeClock()
-        registry = MetricsRegistry()
-        router = ShardRouter(build(plan0), serving, registry=registry)
+        router = ShardRouter(build(plan0), serving)
         monitor = engine = auto = sink = None
         if monitored:
             monitor = HealthMonitor(
@@ -409,7 +442,6 @@ def run_auto_rebalance_suite(
                     window_seconds=60.0, num_buckets=12, cadence_seconds=1.0
                 ),
                 clock=fake,
-                registry=registry,
             )
             sink = MemoryAlertSink()
             engine = SLOEngine(
@@ -562,7 +594,9 @@ def run_bench(*, quick: bool = False) -> dict:
         print(
             f"{dataset_name.ljust(12)} | monitoring "
             f"{overhead['monitored_throughput_ratio']:.3f}x bare "
-            f"({overhead['monitor_ticks']} ticks) | loop: "
+            f"({overhead['monitor_ticks']} ticks, alert fired in "
+            f"{overhead['alert_fired_runs']}/{overhead['monitored_runs']} "
+            "runs) | loop: "
             f"{' -> '.join(loop['alert_states'])}, "
             f"p95 {loop['congested_p95_seconds'] * 1e3:.1f}ms -> "
             f"{loop['recovered_p95_seconds'] * 1e3:.1f}ms, "

@@ -15,12 +15,13 @@ Two suites, each on the synthetic paper datasets, recorded to
 
 ``routed_tracing`` (the spans must mean something)
     The routed online workload of ``bench_sharding.py`` through a
-    :class:`~repro.shard.ShardRouter` with tracing and the metrics registry
-    on: predictions and depths stay bit-identical to the sequential oracle,
-    every submitted request produces exactly one ``route`` span, the
-    critical-path analyzer decomposes the recorded latency into its
-    components, the shard ranking is computed, and ``router.metrics_text()``
-    scrapes the registry the stats published into.  ``--trace-output``
+    :class:`~repro.shard.ShardRouter` with tracing on: predictions and
+    depths stay bit-identical to the sequential oracle, every submitted
+    request produces exactly one ``route`` span, the critical-path analyzer
+    decomposes the recorded latency into its components, the shard ranking
+    is computed, and ``router.metrics_text()`` scrapes the router's
+    metrics registry, whose collectors read the live serving, traffic and
+    transport counters at the call.  ``--trace-output``
     additionally writes the traced run as a Chrome trace-event file
     (open at https://ui.perfetto.dev) — CI uploads one as an artifact.
 

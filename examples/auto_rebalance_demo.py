@@ -43,7 +43,6 @@ from repro.obs import (
     AutoRebalancer,
     HealthMonitor,
     MemoryAlertSink,
-    MetricsRegistry,
     RebalanceAdvisor,
     SLOEngine,
 )
@@ -149,19 +148,16 @@ def main() -> None:
     ]
 
     fake = FakeClock()
-    registry = MetricsRegistry()
     router = ShardRouter(
         build(plan0),
         ServingConfig(
             num_workers=2, max_batch_size=32, max_wait_ms=0.5, cache_capacity=0
         ),
-        registry=registry,
     )
     monitor = HealthMonitor(
         router,
         MonitorConfig(window_seconds=60.0, num_buckets=12, cadence_seconds=1.0),
         clock=fake,
-        registry=registry,
     )
     sink = MemoryAlertSink()
     engine = SLOEngine(
@@ -234,13 +230,14 @@ def main() -> None:
             f"(SLO threshold {SLO_THRESHOLD * 1e3:.0f}ms)"
         )
         print(f"alert lifecycle: {' -> '.join(sink.states('latency'))}")
+        metrics = router.registry.snapshot()
         print(
             "hot-shard heat ranking:",
             final.hottest_shards(),
             " installs:",
-            int(registry.counter("repro_rebalance_installs_total").value),
+            int(metrics.get("repro_rebalance_installs_total", 0)),
             " active plan version:",
-            int(registry.gauge("repro_rebalance_last_version").value),
+            int(metrics["repro_plan_version"]),
         )
 
 

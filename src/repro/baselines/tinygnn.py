@@ -206,7 +206,9 @@ class TinyGNN(InferenceBaseline):
 
         # 1-hop supporting nodes (sampling is timed but costs no MACs).
         start = time.perf_counter()
-        support = k_hop_neighborhood(dataset.graph, node_ids, 1)
+        support = k_hop_neighborhood(
+            dataset.graph, node_ids, 1, include_adjacency=False
+        )
         timings.sampling += time.perf_counter() - start
 
         start = time.perf_counter()

@@ -3,7 +3,8 @@
 The serving stack (`repro.serving`), shard router (`repro.shard`) and
 transports (`repro.transport`) emit **spans** — timed, attributed tree
 nodes — through a :class:`Tracer` into a bounded :class:`TraceRecorder`,
-and publish their aggregate counters into a :class:`MetricsRegistry`.
+and register collectors on a :class:`MetricsRegistry` that reads their
+aggregate counters at scrape time.
 Exporters turn recorded spans into JSON-lines dumps, Chrome trace-event
 files (openable in Perfetto / ``chrome://tracing``) and Prometheus-style
 text; :class:`CriticalPathAnalyzer` decomposes per-request latency into
@@ -40,12 +41,10 @@ from .export import (
 from .monitor import FleetHealth, HealthMonitor, ShardHealth, SlidingWindow
 from .rebalance import AutoRebalancer, RebalanceAdvisor, RebalanceProposal
 from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
-    publish_sharded_snapshot,
-    publish_transport_traffic,
+    Sample,
+    sharded_snapshot_samples,
+    transport_traffic_samples,
 )
 from .slo import (
     FIRING,
@@ -85,11 +84,9 @@ __all__ = [
     "Tracer",
     "NULL_TRACER",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "publish_sharded_snapshot",
-    "publish_transport_traffic",
+    "Sample",
+    "sharded_snapshot_samples",
+    "transport_traffic_samples",
     "CriticalPathAnalyzer",
     "RequestBreakdown",
     "ShardLoad",

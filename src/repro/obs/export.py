@@ -13,7 +13,8 @@ Three formats, three audiences:
   microseconds relative to the earliest span so virtual-clock traces
   render sensibly.
 * **Prometheus text exposition** (:func:`prometheus_text`) — the
-  registry's counters/gauges/histograms in the standard scrape format.
+  registry's counters and gauges, read from its collectors at scrape time,
+  in the standard scrape format.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .registry import MetricsRegistry
 from .trace import Span
 
 
@@ -156,11 +157,10 @@ def _escape_help(text: str) -> str:
     return str(text).replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def _format_labels(labels, extra: dict | None = None) -> str:
-    pairs = list(labels) + sorted((extra or {}).items())
-    if not pairs:
+def _format_labels(labels) -> str:
+    if not labels:
         return ""
-    body = ",".join(f'{key}="{_escape_label_value(value)}"' for key, value in pairs)
+    body = ",".join(f'{key}="{_escape_label_value(value)}"' for key, value in labels)
     return "{" + body + "}"
 
 
@@ -170,27 +170,17 @@ def _format_value(value: float) -> str:
 
 
 def prometheus_text(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format."""
+    """The registry's current samples in Prometheus text exposition format."""
     lines: list[str] = []
     typed: set[str] = set()
-    for metric in registry.collect():
-        if metric.name not in typed:
-            help_text = registry.help_text(metric.name)
+    for sample in registry.collect():
+        if sample.name not in typed:
+            help_text = registry.help_text(sample.name)
             if help_text is None:
-                help_text = f"{metric.kind} {metric.name}"
-            lines.append(f"# HELP {metric.name} {_escape_help(help_text)}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-            typed.add(metric.name)
-        if isinstance(metric, Histogram):
-            for bound, cumulative in metric.buckets():
-                labels = _format_labels(metric.labels, {"le": _format_value(bound)})
-                lines.append(f"{metric.name}_bucket{labels} {cumulative}")
-            inf_labels = _format_labels(metric.labels, {"le": "+Inf"})
-            lines.append(f"{metric.name}_bucket{inf_labels} {metric.count}")
-            base = _format_labels(metric.labels)
-            lines.append(f"{metric.name}_sum{base} {_format_value(metric.sum)}")
-            lines.append(f"{metric.name}_count{base} {metric.count}")
-        elif isinstance(metric, (Counter, Gauge)):
-            labels = _format_labels(metric.labels)
-            lines.append(f"{metric.name}{labels} {_format_value(metric.value)}")
+                help_text = f"{sample.kind} {sample.name}"
+            lines.append(f"# HELP {sample.name} {_escape_help(help_text)}")
+            lines.append(f"# TYPE {sample.name} {sample.kind}")
+            typed.add(sample.name)
+        labels = _format_labels(sample.labels)
+        lines.append(f"{sample.name}{labels} {_format_value(sample.value)}")
     return "\n".join(lines) + "\n"

@@ -19,8 +19,9 @@ adds the windowed view:
   counters arrive as per-tick interval deltas
   (:meth:`~repro.serving.stats.ServingStats.interval_snapshot`), transport
   and traffic counters as deltas of their cumulative totals.  Every
-  reading is republished into the registry as a ``*_window`` gauge and
-  bundled into a :class:`FleetHealth` — the input of the SLO engine
+  reading is bundled into a :class:`FleetHealth` — exported as
+  ``*_window`` gauges by the monitor's registry collector and the input of
+  the SLO engine
   (:mod:`repro.obs.slo`) and the rebalance advisor
   (:mod:`repro.obs.rebalance`).
 
@@ -38,7 +39,14 @@ from ..core.config import MonitorConfig
 from ..exceptions import ConfigurationError
 from ..metrics.timing import LatencySummary, latency_summary
 from ..serving.clock import MONOTONIC_CLOCK, Clock
-from .registry import MetricsRegistry
+from .registry import Sample, gauge
+
+#: ``# HELP`` lines of the window gauges an operator reads first.
+WINDOW_HELP = {
+    "repro_request_rate_window": "Completed requests per second over the monitor window",
+    "repro_latency_p95_window_seconds": "p95 request latency over the monitor window",
+    "repro_shard_heat_window": "Windowed rows served per second, the rebalance ranking key",
+}
 
 
 class _Bucket:
@@ -335,9 +343,10 @@ class HealthMonitor:
     Each tick consumes the router's interval windows (per-shard serving
     deltas since the previous tick), folds them into the per-shard and
     fleet :class:`SlidingWindow` sets, diffs the cumulative
-    transport/traffic counters, publishes every reading as a ``*_window``
-    gauge in the registry, and returns the assembled
-    :class:`FleetHealth`.
+    transport/traffic counters and returns the assembled
+    :class:`FleetHealth`.  The monitor registers a collector on
+    ``router.registry`` that exports the latest tick's readings as
+    ``*_window`` gauges.
     """
 
     def __init__(
@@ -346,15 +355,10 @@ class HealthMonitor:
         config: MonitorConfig | None = None,
         *,
         clock: Clock | None = None,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         self.router = router
         self.config = config if config is not None else MonitorConfig()
         self.clock = clock if clock is not None else MONOTONIC_CLOCK
-        if registry is not None:
-            self.registry = registry
-        else:
-            self.registry = getattr(router, "registry", None) or MetricsRegistry()
         self._lock = threading.Lock()
         self._shards: dict[int, _ShardWindows] = {}
         self._fleet_latency = self._window()
@@ -367,6 +371,7 @@ class HealthMonitor:
         self._last_tick: float | None = None
         self.ticks = 0
         self.last_health: FleetHealth | None = None
+        router.registry.register(self._samples, help_texts=WINDOW_HELP)
 
     def _window(self) -> SlidingWindow:
         return SlidingWindow(
@@ -387,7 +392,7 @@ class HealthMonitor:
         return self.tick() if due else None
 
     def tick(self) -> FleetHealth:
-        """Take one monitoring snapshot and publish the windowed gauges."""
+        """Take one monitoring snapshot of the windowed readings."""
         with self._lock:
             return self._tick_locked()
 
@@ -472,57 +477,37 @@ class HealthMonitor:
             interval_completed=interval_completed,
             interval_failed=interval_failed,
         )
-        self._publish(health)
         self._last_tick = now
         self.ticks += 1
         self.last_health = health
         return health
 
     # ------------------------------------------------------------------ #
-    def _publish(self, health: FleetHealth) -> None:
-        registry = self.registry
-        registry.set_help(
-            "repro_request_rate_window",
-            "Completed requests per second over the monitor window",
-        )
-        registry.set_help(
-            "repro_latency_p95_window_seconds",
-            "p95 request latency over the monitor window",
-        )
-        registry.set_help(
-            "repro_shard_heat_window",
-            "Windowed rows served per second, the rebalance ranking key",
-        )
-        registry.gauge("repro_request_rate_window").set(health.request_rate)
-        registry.gauge("repro_failure_rate_window").set(health.failure_rate)
-        registry.gauge("repro_latency_p50_window_seconds").set(health.latency.p50)
-        registry.gauge("repro_latency_p95_window_seconds").set(health.latency.p95)
-        registry.gauge("repro_latency_p99_window_seconds").set(health.latency.p99)
-        registry.gauge("repro_transport_retry_rate_window").set(
-            health.transport_retry_rate
-        )
-        registry.gauge("repro_transport_failover_rate_window").set(
-            health.transport_failover_rate
-        )
-        registry.gauge("repro_remote_byte_rate_window").set(health.remote_byte_rate)
+    def _samples(self) -> list[Sample]:
+        """The registry collector: the latest tick's windowed readings."""
+        health = self.last_health
+        if health is None:
+            return []
+        samples = [
+            gauge("repro_request_rate_window", health.request_rate),
+            gauge("repro_failure_rate_window", health.failure_rate),
+            gauge("repro_latency_p50_window_seconds", health.latency.p50),
+            gauge("repro_latency_p95_window_seconds", health.latency.p95),
+            gauge("repro_latency_p99_window_seconds", health.latency.p99),
+            gauge("repro_transport_retry_rate_window", health.transport_retry_rate),
+            gauge("repro_transport_failover_rate_window", health.transport_failover_rate),
+            gauge("repro_remote_byte_rate_window", health.remote_byte_rate),
+        ]
         for shard_id, shard in health.per_shard.items():
-            labels = {"shard": str(shard_id)}
-            registry.gauge("repro_shard_request_rate_window", **labels).set(
-                shard.request_rate
-            )
-            registry.gauge("repro_shard_node_rate_window", **labels).set(
-                shard.node_rate
-            )
-            registry.gauge("repro_shard_failure_rate_window", **labels).set(
-                shard.failure_rate
-            )
-            registry.gauge("repro_shard_latency_p95_window_seconds", **labels).set(
-                shard.latency.p95
-            )
-            registry.gauge("repro_shard_queue_depth_window", **labels).set(
-                shard.queue_depth
-            )
-            registry.gauge("repro_shard_heat_window", **labels).set(shard.heat)
+            samples += [
+                gauge("repro_shard_request_rate_window", shard.request_rate, shard=shard_id),
+                gauge("repro_shard_node_rate_window", shard.node_rate, shard=shard_id),
+                gauge("repro_shard_failure_rate_window", shard.failure_rate, shard=shard_id),
+                gauge("repro_shard_latency_p95_window_seconds", shard.latency.p95, shard=shard_id),
+                gauge("repro_shard_queue_depth_window", shard.queue_depth, shard=shard_id),
+                gauge("repro_shard_heat_window", shard.heat, shard=shard_id),
+            ]
+        return samples
 
     # ------------------------------------------------------------------ #
     def shard_heat(self) -> dict[int, float]:

@@ -38,6 +38,7 @@ import numpy as np
 from ..exceptions import ConfigurationError, ServingError
 from ..serving.clock import MONOTONIC_CLOCK, Clock
 from .monitor import HealthMonitor
+from .registry import Sample, counter, gauge
 from .slo import FIRING, Alert, AlertSink
 
 
@@ -174,7 +175,9 @@ class AutoRebalancer(AlertSink):
     ``firing`` transition (for one of the ``watch``\\ ed SLOs, or any SLO
     when ``watch`` is ``None``) it consults the advisor with the
     monitor's current heat and, outside the cooldown, rolls the proposed
-    plan through ``router.install_plan``.
+    plan through ``router.install_plan``.  Once it has installed a plan, its
+    collector on ``router.registry`` exports ``repro_rebalance_installs_total``
+    and ``repro_rebalance_last_version``.
 
     Parameters
     ----------
@@ -214,8 +217,10 @@ class AutoRebalancer(AlertSink):
         self._lock = threading.Lock()
         self._last_install_at: float | None = None
         self.installs = 0
+        self.last_version: int | None = None
         self.skips: dict[str, int] = {}
         self.history: list[dict] = []
+        router.registry.register(self._samples)
 
     # ------------------------------------------------------------------ #
     def notify(self, alert: Alert) -> None:
@@ -258,6 +263,7 @@ class AutoRebalancer(AlertSink):
                 return None
             self._last_install_at = now
             self.installs += 1
+            self.last_version = version
             self.history.append(
                 {
                     "at": now,
@@ -266,11 +272,16 @@ class AutoRebalancer(AlertSink):
                     "diff": proposal.diff(),
                 }
             )
-            registry = getattr(self.router, "registry", None)
-            if registry is not None:
-                registry.counter("repro_rebalance_installs_total").inc()
-                registry.gauge("repro_rebalance_last_version").set(version)
             return proposal
+
+    def _samples(self) -> list[Sample]:
+        """The registry collector: install count and last installed version."""
+        if self.last_version is None:
+            return []
+        return [
+            counter("repro_rebalance_installs_total", self.installs),
+            gauge("repro_rebalance_last_version", self.last_version),
+        ]
 
     def _skip(self, kind: str, reason: str) -> None:
         self.skips[kind] = self.skips.get(kind, 0) + 1

@@ -1,306 +1,159 @@
-"""Unified metrics registry: counters, gauges, histograms, one namespace.
+"""Unified metrics registry: one scrape surface over the live accumulators.
 
 Before this module every layer grew its own counter plumbing
 (``ServingStats``, ``ShardTraffic``, ``TransportStats``); the registry is
-the single surface those publish *into*, so an operator reads one
-snapshot — or one Prometheus scrape (:func:`repro.obs.export.
-prometheus_text`) — instead of four bespoke dicts.  The existing
-accumulators stay the source of truth (they are exact and already
-tested); :func:`publish_sharded_snapshot` and
-:func:`publish_transport_traffic` map them onto registry metrics, and
-:meth:`repro.shard.router.ShardRouter.stats` calls them on every
-snapshot.
+the single surface an operator reads — one snapshot, or one Prometheus
+scrape (:func:`repro.obs.export.prometheus_text`) — instead of four
+bespoke dicts.  The accumulators stay the only source of truth (they are
+exact and already tested): the registry holds no values of its own, only
+*collectors*, zero-argument callables it calls at scrape time and that
+return the current :class:`Sample`\\ s.  Nothing is cached, so a series the
+fleet no longer has (a shard a rollout retired) disappears from the next
+scrape.
 
-Metric identity is ``(name, sorted labels)``, Prometheus-style:
-``registry.counter("repro_fetch_rows_total", shard="2", kind="remote")``
-returns the same :class:`Counter` every call.  Gauges ``set``, counters
-``inc`` monotonically (``set_total`` resyncs from an authoritative
-accumulator), histograms bucket observations cumulatively.
+:func:`sharded_snapshot_samples` and :func:`transport_traffic_samples` are
+the pure mappings the router's collector uses.  Metric identity is
+``(name, sorted labels)``, Prometheus-style.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable
-
-from ..exceptions import ConfigurationError
+from typing import Callable, Iterable, NamedTuple
 
 LabelKey = tuple[tuple[str, str], ...]
 
-#: Default histogram bucket upper bounds (seconds-flavoured; callers
-#: measuring widths/rows pass their own).
-DEFAULT_BUCKETS = (
-    0.001,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-)
+
+class Sample(NamedTuple):
+    """One metric reading: ``kind`` is ``"counter"`` or ``"gauge"``."""
+
+    name: str
+    kind: str
+    labels: LabelKey
+    value: float
 
 
-def _label_key(labels: dict[str, str]) -> LabelKey:
+def _label_key(labels: dict) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class Counter:
-    """Monotonically non-decreasing tally."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, labels: LabelKey) -> None:
-        self.name = name
-        self.labels = labels
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ConfigurationError(
-                f"counter {self.name} cannot decrease (inc {amount})"
-            )
-        with self._lock:
-            self._value += amount
-
-    def set_total(self, total: float) -> None:
-        """Resync to an authoritative accumulator's running total.
-
-        The serving/transport accumulators already hold exact monotone
-        totals; publishing re-states them rather than replaying deltas.
-        A total below the current value re-bases the counter — the
-        Prometheus counter-reset semantic — which happens legitimately
-        when a versioned rollout swaps in a fresh generation whose
-        accumulators start from zero.
-        """
-        with self._lock:
-            self._value = float(total)
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
+def counter(name: str, value: float, **labels) -> Sample:
+    """A monotone total read from an accumulator."""
+    return Sample(name, "counter", _label_key(labels), float(value))
 
 
-class Gauge:
-    """Point-in-time level (queue depth, hit rate, remote-byte fraction)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, labels: LabelKey) -> None:
-        self.name = name
-        self.labels = labels
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def add(self, amount: float) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
+def gauge(name: str, value: float, **labels) -> Sample:
+    """A point-in-time level (hit rate, percentile, plan version)."""
+    return Sample(name, "gauge", _label_key(labels), float(value))
 
 
-class Histogram:
-    """Cumulative-bucket distribution (Prometheus ``le`` semantics)."""
-
-    kind = "histogram"
-
-    def __init__(
-        self, name: str, labels: LabelKey, buckets: Iterable[float] = DEFAULT_BUCKETS
-    ) -> None:
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ConfigurationError(f"histogram {name} needs at least one bucket")
-        self.name = name
-        self.labels = labels
-        self.bounds = bounds
-        self._lock = threading.Lock()
-        self._bucket_counts = [0] * len(bounds)
-        self._count = 0
-        self._sum = 0.0
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self._count += 1
-            self._sum += value
-            # Per-bucket storage is non-cumulative (first fitting bound
-            # only); :meth:`buckets` produces the cumulative ``le`` view.
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self._bucket_counts[i] += 1
-                    break
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
-    def buckets(self) -> list[tuple[float, int]]:
-        """Cumulative ``(upper_bound, count_at_or_below)`` pairs."""
-        with self._lock:
-            running = 0
-            out = []
-            for bound, count in zip(self.bounds, self._bucket_counts):
-                running += count
-                out.append((bound, running))
-            return out
+Collector = Callable[[], Iterable[Sample]]
 
 
 class MetricsRegistry:
-    """Get-or-create home for every metric in the process."""
+    """The collectors of one deployment, read at scrape time."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: dict[tuple[str, LabelKey], object] = {}
+        self._collectors: list[Collector] = []
         self._help: dict[str, str] = {}
 
-    def set_help(self, name: str, text: str) -> None:
-        """Attach a ``# HELP`` line to metric ``name`` (all label sets)."""
+    def register(
+        self, collector: Collector, *, help_texts: dict[str, str] | None = None
+    ) -> None:
+        """Add ``collector``; ``help_texts`` maps names to ``# HELP`` lines."""
         with self._lock:
-            self._help[name] = str(text)
+            self._collectors.append(collector)
+            self._help.update(help_texts or {})
 
     def help_text(self, name: str) -> str | None:
         """The help text registered for ``name``, or ``None``."""
         with self._lock:
             return self._help.get(name)
 
-    def _get(self, factory, name: str, labels: dict[str, str], **kwargs):
-        key = (name, _label_key(labels))
+    def collect(self) -> list[Sample]:
+        """Every collector's current samples, sorted by (name, labels).
+
+        A later sample with the same identity replaces an earlier one.
+        """
         with self._lock:
-            metric = self._metrics.get(key)
-            if metric is None:
-                metric = factory(name, key[1], **kwargs)
-                self._metrics[key] = metric
-            elif not isinstance(metric, factory):
-                raise ConfigurationError(
-                    f"metric {name} already registered as {type(metric).__name__}"
-                )
-            return metric
-
-    def counter(self, name: str, **labels) -> Counter:
-        return self._get(Counter, name, labels)
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self._get(Gauge, name, labels)
-
-    def histogram(
-        self, name: str, *, buckets: Iterable[float] = DEFAULT_BUCKETS, **labels
-    ) -> Histogram:
-        return self._get(Histogram, name, labels, buckets=buckets)
-
-    def collect(self) -> list[object]:
-        """All metrics, sorted by (name, labels) for stable exposition."""
-        with self._lock:
-            return [self._metrics[key] for key in sorted(self._metrics)]
+            collectors = list(self._collectors)
+        samples = {
+            (sample.name, sample.labels): sample
+            for collector in collectors
+            for sample in collector()
+        }
+        return [samples[key] for key in sorted(samples)]
 
     def snapshot(self) -> dict[str, float]:
-        """Flat ``name{labels} -> value`` dict (histograms expose _count/_sum)."""
+        """Flat ``name{labels} -> value`` dict."""
         out: dict[str, float] = {}
-        for metric in self.collect():
-            label_text = ",".join(f"{k}={v}" for k, v in metric.labels)
+        for sample in self.collect():
+            label_text = ",".join(f"{k}={v}" for k, v in sample.labels)
             suffix = f"{{{label_text}}}" if label_text else ""
-            if isinstance(metric, Histogram):
-                out[f"{metric.name}_count{suffix}"] = float(metric.count)
-                out[f"{metric.name}_sum{suffix}"] = metric.sum
-            else:
-                out[f"{metric.name}{suffix}"] = metric.value
+            out[f"{sample.name}{suffix}"] = sample.value
         return out
 
 
 # ---------------------------------------------------------------------- #
-# Publishers: map the existing exact accumulators onto registry metrics.
+# Pure mappings from the exact accumulators onto samples.
 # ---------------------------------------------------------------------- #
-def publish_sharded_snapshot(registry: MetricsRegistry, snapshot) -> None:
-    """Publish a :class:`~repro.shard.stats.ShardedStatsSnapshot`."""
-    for field_name in (
-        "requests_completed",
-        "requests_failed",
-        "requests_rejected",
-        "requests_shed",
-        "requests_replayed",
-        "nodes_completed",
-        "batches_dispatched",
-        "controller_adjustments",
-        "cache_hits",
-        "cache_misses",
-        "result_cache_hits",
-        "result_cache_misses",
-        "transport_retries",
-        "transport_failovers",
-        "transport_health_transitions",
-    ):
-        registry.counter(f"repro_{field_name}_total").set_total(
-            getattr(snapshot, field_name)
-        )
-    registry.counter("repro_computed_macs_total").set_total(snapshot.macs.total)
-    registry.gauge("repro_plan_version").set(snapshot.plan_version)
-    registry.gauge("repro_cache_hit_rate").set(snapshot.cache_hit_rate)
-    registry.gauge("repro_batch_width_p50").set(snapshot.batch_width_p50)
-    registry.gauge("repro_batch_width_p95").set(snapshot.batch_width_p95)
-    registry.gauge("repro_latency_p95_seconds").set(snapshot.latency.p95)
-    registry.gauge("repro_latency_p99_seconds").set(snapshot.latency.p99)
-    for shard, per_shard in snapshot.per_shard.items():
-        labels = {"shard": str(shard)}
-        registry.counter("repro_shard_requests_completed_total", **labels).set_total(
-            per_shard.requests_completed
-        )
-        registry.counter("repro_shard_nodes_completed_total", **labels).set_total(
-            per_shard.nodes_completed
-        )
-        registry.gauge("repro_shard_latency_p95_seconds", **labels).set(
-            per_shard.latency.p95
-        )
+_SNAPSHOT_COUNTERS = (
+    "requests_completed",
+    "requests_failed",
+    "requests_rejected",
+    "requests_shed",
+    "requests_replayed",
+    "nodes_completed",
+    "batches_dispatched",
+    "controller_adjustments",
+    "cache_hits",
+    "cache_misses",
+    "result_cache_hits",
+    "result_cache_misses",
+    "transport_retries",
+    "transport_failovers",
+    "transport_health_transitions",
+)
 
 
-def publish_transport_traffic(registry: MetricsRegistry, traffic: dict) -> None:
-    """Publish :meth:`~repro.shard.router.ShardRouter.traffic` output.
+def sharded_snapshot_samples(snapshot) -> list[Sample]:
+    """Samples of a :class:`~repro.shard.stats.ShardedStatsSnapshot`."""
+    samples = [
+        counter(f"repro_{name}_total", getattr(snapshot, name))
+        for name in _SNAPSHOT_COUNTERS
+    ]
+    samples += [
+        counter("repro_computed_macs_total", snapshot.macs.total),
+        gauge("repro_plan_version", snapshot.plan_version),
+        gauge("repro_cache_hit_rate", snapshot.cache_hit_rate),
+        gauge("repro_batch_width_p50", snapshot.batch_width_p50),
+        gauge("repro_batch_width_p95", snapshot.batch_width_p95),
+        gauge("repro_latency_p95_seconds", snapshot.latency.p95),
+        gauge("repro_latency_p99_seconds", snapshot.latency.p99),
+    ]
+    for shard, view in snapshot.per_shard.items():
+        samples += [
+            counter("repro_shard_requests_completed_total", view.requests_completed, shard=shard),
+            counter("repro_shard_nodes_completed_total", view.nodes_completed, shard=shard),
+            gauge("repro_shard_latency_p95_seconds", view.latency.p95, shard=shard),
+        ]
+    return samples
 
-    ``traffic`` is the router's ``{"shard_traffic": ..., "transport": ...}``
-    dict: per-category local/remote row and byte tallies plus the
-    transport's round/request/byte counters.
-    """
-    shard_traffic = traffic.get("shard_traffic", {})
-    for category, detail in shard_traffic.items():
-        if not isinstance(detail, dict):
-            continue
-        for kind in ("local", "remote"):
-            rows = detail.get(f"{kind}_rows")
-            if rows is not None:
-                registry.counter(
-                    "repro_fetch_rows_total", category=category, kind=kind
-                ).set_total(rows)
-            nbytes = detail.get(f"{kind}_bytes")
-            if nbytes is not None:
-                registry.counter(
-                    "repro_fetch_bytes_total", category=category, kind=kind
-                ).set_total(nbytes)
-    fraction = shard_traffic.get("remote_byte_fraction")
-    if fraction is not None:
-        registry.gauge("repro_remote_byte_fraction").set(fraction)
-    transport = traffic.get("transport", {})
-    if transport.get("rounds") is not None:
-        registry.counter("repro_transport_rounds_total").set_total(
-            transport["rounds"]
-        )
-    for op, count in (transport.get("requests") or {}).items():
-        registry.counter("repro_transport_requests_total", op=op).set_total(count)
-    if transport.get("bytes_fetched") is not None:
-        registry.counter("repro_transport_bytes_total").set_total(
-            transport["bytes_fetched"]
-        )
+
+def transport_traffic_samples(traffic, transport_stats) -> list[Sample]:
+    """Samples of a store's :class:`~repro.shard.store.ShardTraffic` and
+    its transport's :class:`~repro.transport.TransportStats`."""
+    total_bytes = traffic.bytes_local + traffic.bytes_remote
+    samples = [
+        gauge(
+            "repro_remote_byte_fraction",
+            traffic.bytes_remote / total_bytes if total_bytes else 0.0,
+        ),
+        counter("repro_transport_rounds_total", transport_stats.rounds),
+    ]
+    samples += [
+        counter("repro_transport_requests_total", count, op=op)
+        for op, count in dict(transport_stats.requests).items()
+    ]
+    return samples

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING
 
 from ..core.config import ServingConfig, ShardConfig
 from ..exceptions import ConfigurationError
-from ..obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # runtime imports are lazy — repro.shard imports this package
     from ..shard.predictor import ShardedPredictor
@@ -70,7 +69,6 @@ class ClusterBuilder:
         self._tracer = None
         self._wave_width: int | None = None
         self._clock = None
-        self._registry: MetricsRegistry | None = None
         self._built = False
 
     # -- declarations ---------------------------------------------------- #
@@ -152,11 +150,6 @@ class ClusterBuilder:
         self._clock = clock
         return self
 
-    def registry(self, registry: MetricsRegistry) -> "ClusterBuilder":
-        """Publish fleet metrics into an existing registry."""
-        self._registry = registry
-        return self
-
     # -- materialization ------------------------------------------------- #
     def build_predictor(self) -> "ShardedPredictor":
         """Apply every declaration except routing; returns the predictor.
@@ -167,7 +160,7 @@ class ClusterBuilder:
         :meth:`~repro.shard.router.ShardRouter.install_plan`, while the
         *existing* router keeps serving.  Consumes the builder like
         :meth:`build`; serving-only declarations (``serving``, ``wave``,
-        ``clock``, ``registry``) are ignored here — they belong to the
+        ``clock``) are ignored here — they belong to the
         router the predictor will join.
         """
         predictor = self._configure_predictor()
@@ -191,7 +184,6 @@ class ClusterBuilder:
             serving_config,
             clock=self._clock,
             tracer=self._tracer,
-            registry=self._registry,
         )
         self._built = True
         return router

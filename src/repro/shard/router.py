@@ -46,8 +46,9 @@ from ..exceptions import ConfigurationError, ServingError
 from ..obs.export import prometheus_text
 from ..obs.registry import (
     MetricsRegistry,
-    publish_sharded_snapshot,
-    publish_transport_traffic,
+    Sample,
+    sharded_snapshot_samples,
+    transport_traffic_samples,
 )
 from ..serving.clock import Clock
 from ..serving.controller import build_controller
@@ -216,7 +217,6 @@ class ShardRouter:
         *,
         clock: Clock | None = None,
         tracer=None,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         self.config = config if config is not None else ServingConfig()
         self._clock = clock
@@ -224,10 +224,12 @@ class ShardRouter:
         #: generation's servers, stores and transports; ``None`` keeps the
         #: whole fleet on the zero-cost untraced path.
         self.tracer = tracer
-        #: The fleet's :class:`~repro.obs.MetricsRegistry`; :meth:`stats`
-        #: republishes every snapshot into it so one scrape surface covers
-        #: serving, traffic and transport counters.
-        self.registry = registry if registry is not None else MetricsRegistry()
+        #: The fleet's :class:`~repro.obs.MetricsRegistry`: one scrape
+        #: surface over serving, traffic and transport counters.  The
+        #: router's collector reads the active generation at scrape time;
+        #: a monitor or rebalancer attached to the router registers here.
+        self.registry = MetricsRegistry()
+        self.registry.register(self._samples)
         self._plan_lock = threading.Lock()
         self._closed = False
         self._retired: list[_Generation] = []
@@ -442,7 +444,9 @@ class ShardRouter:
         for per-version rows during a rollout), stamped with the active plan
         version and the replication counters of the store's transport.
         """
-        generation = self._active
+        return self._stats_of(self._active)
+
+    def _stats_of(self, generation: _Generation) -> ShardedStatsSnapshot:
         merged = merge_serving_snapshots(
             {
                 shard_id: server.stats()
@@ -450,19 +454,22 @@ class ShardRouter:
             }
         )
         transport_stats = generation.predictor.store.transport.stats
-        snapshot = replace(
+        return replace(
             merged,
             plan_version=generation.version,
             transport_retries=transport_stats.retries,
             transport_failovers=transport_stats.failovers,
             transport_health_transitions=transport_stats.health_transitions,
         )
-        # Re-sync the registry from the authoritative accumulators: counters
-        # move to the snapshot totals (never replayed as deltas), gauges take
-        # the latest reading — one scrape surface for the whole fleet.
-        publish_sharded_snapshot(self.registry, snapshot)
-        publish_transport_traffic(self.registry, self.traffic())
-        return snapshot
+
+    def _samples(self) -> list[Sample]:
+        """The registry collector: the active generation's live totals."""
+        generation = self._active
+        store = generation.predictor.store
+        return [
+            *sharded_snapshot_samples(self._stats_of(generation)),
+            *transport_traffic_samples(store.traffic, store.transport.stats),
+        ]
 
     def interval_stats(
         self, *, reset: bool = True
@@ -485,10 +492,9 @@ class ShardRouter:
     def metrics_text(self) -> str:
         """Prometheus text exposition of the fleet's metrics registry.
 
-        Refreshes the registry from a fresh :meth:`stats` snapshot first, so
-        the scrape always reflects the current counters.
+        Every collector reads its accumulators at the call, so the scrape
+        reflects the current counters and only the active plan's shards.
         """
-        self.stats()
         return prometheus_text(self.registry)
 
     def controller_state(self) -> dict[int, dict]:

@@ -99,6 +99,33 @@ class TestTinyGNN:
         upper = (tiny_dataset.graph.degrees().max() + 1) * tiny_dataset.num_features
         assert per_node_propagation <= upper
 
+    def test_support_carries_no_adjacency_and_changes_nothing(
+        self, tiny_dataset, teacher_target, monkeypatch
+    ):
+        """Only the supporting-node count is read, so no adjacency is built."""
+        from repro.baselines import tinygnn
+
+        model = TinyGNN(rng=0, epochs=10).fit(tiny_dataset, teacher_target)
+        node_ids = tiny_dataset.split.test_idx
+        real = tinygnn.k_hop_neighborhood
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(tinygnn, "k_hop_neighborhood", recording)
+        lean = model.predict(tiny_dataset, node_ids)
+        assert built and all(support.adjacency is None for support in built)
+
+        def with_adjacency(*args, **kwargs):
+            return real(*args, **{**kwargs, "include_adjacency": True})
+
+        monkeypatch.setattr(tinygnn, "k_hop_neighborhood", with_adjacency)
+        full = model.predict(tiny_dataset, node_ids)
+        np.testing.assert_array_equal(lean.predictions, full.predictions)
+        assert lean.macs == full.macs
+
 
 class TestQuantization:
     def test_quantize_depthwise_classifier_keeps_interface(self, trained_nai):

@@ -262,26 +262,21 @@ class TestHealthMonitor:
         assert health.transport_retry_rate == pytest.approx(6 / 20)
         assert health.remote_byte_rate == pytest.approx(3000 / 20)
 
-    def test_tick_publishes_window_gauges_into_the_registry(self):
+    def test_tick_readings_are_exported_through_the_router_registry(self):
         clock = FakeClock()
         router = StubRouter()
         monitor = HealthMonitor(router, CONFIG, clock=clock)
+        assert router.registry.snapshot() == {}  # nothing before a tick
         router.intervals = {0: _interval(completed=4, nodes=40, samples=(0.010,))}
         clock.advance(10.0)
         monitor.tick()
-        registry = router.registry  # monitor defaults to the router's
-        assert monitor.registry is registry
-        assert registry.gauge("repro_request_rate_window").value == pytest.approx(
-            0.4
-        )
-        assert registry.gauge(
-            "repro_shard_heat_window", shard="0"
-        ).value == pytest.approx(8.0)  # shard window coverage floor is 5s
-        assert registry.gauge(
-            "repro_latency_p95_window_seconds"
-        ).value == pytest.approx(0.010)
+        snap = router.registry.snapshot()
+        assert snap["repro_request_rate_window"] == pytest.approx(0.4)
+        # The shard window's coverage floor is 5s.
+        assert snap["repro_shard_heat_window{shard=0}"] == pytest.approx(8.0)
+        assert snap["repro_latency_p95_window_seconds"] == pytest.approx(0.010)
         assert (
-            registry.help_text("repro_shard_heat_window")
+            router.registry.help_text("repro_shard_heat_window")
             == "Windowed rows served per second, the rebalance ranking key"
         )
 

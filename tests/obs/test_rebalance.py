@@ -147,8 +147,9 @@ class TestAutoRebalancer:
         (predictor,) = router.installed
         assert predictor.plan.version == plan.version + 1
         assert predictor.plan.replicas_of(1) == (0, 1)
-        assert router.registry.counter("repro_rebalance_installs_total").value == 1
-        assert router.registry.gauge("repro_rebalance_last_version").value == 1.0
+        snap = router.registry.snapshot()
+        assert snap["repro_rebalance_installs_total"] == 1
+        assert snap["repro_rebalance_last_version"] == 1.0
         assert auto.history[-1]["reason"] == "slo:latency"
 
     def test_non_firing_transitions_are_ignored(self, plan):
@@ -296,19 +297,16 @@ class TestAutoRebalanceEndToEnd:
         ]
 
         fake = FakeClock()
-        registry = MetricsRegistry()
         router = ShardRouter(
             build(plan0),
             ServingConfig(
                 num_workers=2, max_batch_size=32, max_wait_ms=0.5, cache_capacity=8
             ),
-            registry=registry,
         )
         monitor = HealthMonitor(
             router,
             MonitorConfig(window_seconds=60.0, num_buckets=12, cadence_seconds=1.0),
             clock=fake,
-            registry=registry,
         )
         sink = MemoryAlertSink()
         engine = SLOEngine(
@@ -363,7 +361,7 @@ class TestAutoRebalanceEndToEnd:
         assert router.plan_version == plan0.version + 1
         (install,) = (h for h in auto.history if "version" in h)
         assert install["diff"]["boosted"] == {str(hot): {"from": 1, "to": 2}}
-        assert registry.gauge("repro_rebalance_last_version").value == 1.0
+        assert router.registry.snapshot()["repro_rebalance_last_version"] == 1.0
 
         # Nothing was lost across the rollout, and the congested window
         # breached the SLO while the final window meets it.

@@ -1,108 +1,74 @@
-"""Unit tests for the metrics registry, its metric types and publishers."""
+"""Unit tests for the metrics registry, its collectors and sample mappings."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, prometheus_text
+from repro.obs import MetricsRegistry, prometheus_text, transport_traffic_samples
+from repro.obs.registry import counter, gauge
 
 
-class TestCounter:
-    def test_inc_accumulates_and_rejects_negative(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("hits_total")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5.0
-        with pytest.raises(ConfigurationError):
-            counter.inc(-1)
-
-    def test_set_total_resyncs_and_rebases_on_counter_reset(self):
-        counter = MetricsRegistry().counter("rows_total")
-        counter.set_total(10)
-        counter.set_total(10)
-        counter.set_total(12)
-        assert counter.value == 12.0
-        # A lower total is the Prometheus counter-reset semantic: a rollout
-        # swapped in a fresh generation whose accumulators restart at zero.
-        counter.set_total(3)
-        assert counter.value == 3.0
-
-
-class TestGauge:
-    def test_set_and_add(self):
-        gauge = MetricsRegistry().gauge("depth")
-        gauge.set(3.0)
-        gauge.add(-1.5)
-        assert gauge.value == 1.5
-
-
-class TestHistogram:
-    def test_cumulative_bucket_semantics(self):
-        histogram = MetricsRegistry().histogram(
-            "latency_seconds", buckets=(0.1, 1.0, 10.0)
-        )
-        for value in (0.05, 0.5, 0.5, 5.0, 50.0):
-            histogram.observe(value)
-        assert histogram.count == 5
-        assert histogram.sum == pytest.approx(56.05)
-        assert histogram.buckets() == [(0.1, 1), (1.0, 3), (10.0, 4)]
-
-    def test_needs_at_least_one_bucket(self):
-        with pytest.raises(ConfigurationError):
-            MetricsRegistry().histogram("empty", buckets=())
+def _registry(*samples, help_texts=None):
+    registry = MetricsRegistry()
+    registry.register(lambda: list(samples), help_texts=help_texts)
+    return registry
 
 
 class TestRegistry:
-    def test_get_or_create_by_name_and_labels(self):
+    def test_collectors_are_read_at_every_scrape(self):
+        total = {"rows": 1}
         registry = MetricsRegistry()
-        a = registry.counter("rows_total", shard="0")
-        b = registry.counter("rows_total", shard="0")
-        c = registry.counter("rows_total", shard="1")
-        assert a is b and a is not c
+        registry.register(lambda: [counter("rows_total", total["rows"])])
+        assert registry.snapshot() == {"rows_total": 1.0}
+        total["rows"] = 5
+        assert registry.snapshot() == {"rows_total": 5.0}
 
-    def test_kind_mismatch_is_refused(self):
+    def test_a_series_the_collector_stops_returning_disappears(self):
+        shards = {"0": 3, "1": 4}
         registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ConfigurationError):
-            registry.gauge("x")
+        registry.register(
+            lambda: [counter("rows_total", n, shard=s) for s, n in shards.items()]
+        )
+        assert "rows_total{shard=1}" in registry.snapshot()
+        del shards["1"]
+        assert registry.snapshot() == {"rows_total{shard=0}": 3.0}
+
+    def test_collect_sorts_across_collectors(self):
+        registry = MetricsRegistry()
+        registry.register(lambda: [gauge("b", 1), counter("a_total", 2, shard="1")])
+        registry.register(lambda: [counter("a_total", 3, shard="0")])
+        assert [(s.name, s.labels) for s in registry.collect()] == [
+            ("a_total", (("shard", "0"),)),
+            ("a_total", (("shard", "1"),)),
+            ("b", ()),
+        ]
 
     def test_snapshot_flattens_with_labels(self):
-        registry = MetricsRegistry()
-        registry.counter("rows_total", shard="1").inc(7)
-        registry.gauge("depth").set(2)
-        registry.histogram("lat", buckets=(1.0,)).observe(0.5)
+        registry = _registry(counter("rows_total", 7, shard=1), gauge("depth", 2))
         snap = registry.snapshot()
         assert snap["rows_total{shard=1}"] == 7.0
         assert snap["depth"] == 2.0
-        assert snap["lat_count"] == 1.0
-        assert snap["lat_sum"] == 0.5
 
 
 class TestPrometheusText:
     def test_exposition_format(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_rows_total", shard="2", kind="remote").inc(3)
-        registry.gauge("repro_depth").set(1.5)
-        registry.histogram("repro_lat_seconds", buckets=(0.1, 1.0)).observe(0.05)
+        registry = _registry(
+            counter("repro_rows_total", 3, shard="2", kind="remote"),
+            gauge("repro_depth", 1.5),
+        )
         text = prometheus_text(registry)
         assert "# TYPE repro_rows_total counter" in text
         assert 'repro_rows_total{kind="remote",shard="2"} 3' in text
         assert "# TYPE repro_depth gauge" in text
         assert "repro_depth 1.5" in text
-        assert 'repro_lat_seconds_bucket{le="0.1"} 1' in text
-        assert 'repro_lat_seconds_bucket{le="+Inf"} 1' in text
-        assert "repro_lat_seconds_count 1" in text
 
 
 class TestPrometheusEscaping:
     """Hostile label values and ``# HELP`` lines survive exposition."""
 
     def test_hostile_label_values_are_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("m_total", path='a"b\\c\nd').inc(3)
-        text = prometheus_text(registry)
+        text = prometheus_text(_registry(counter("m_total", 3, path='a"b\\c\nd')))
         # Backslash doubles first, then the quote and the newline escape —
         # the order that keeps the scrape parseable.
         assert 'm_total{path="a\\"b\\\\c\\nd"} 3' in text
@@ -111,63 +77,60 @@ class TestPrometheusEscaping:
         assert sample == 'm_total{path="a\\"b\\\\c\\nd"} 3'
 
     def test_help_lines_default_and_custom(self):
-        registry = MetricsRegistry()
-        registry.counter("m_total").inc()
-        registry.gauge("g")
-        registry.set_help("g", "Queue depth right now")
+        registry = _registry(
+            counter("m_total", 1),
+            gauge("g", 0),
+            help_texts={"g": "Queue depth right now"},
+        )
         text = prometheus_text(registry)
         assert "# HELP m_total counter m_total" in text  # default text
         assert "# HELP g Queue depth right now" in text
         assert text.index("# HELP g") < text.index("# TYPE g gauge")
 
     def test_help_text_is_escaped_but_keeps_quotes(self):
-        registry = MetricsRegistry()
-        registry.gauge("g")
-        registry.set_help("g", 'rows "served"\nper \\ second')
+        registry = _registry(
+            gauge("g", 0), help_texts={"g": 'rows "served"\nper \\ second'}
+        )
         text = prometheus_text(registry)
         # HELP escaping covers backslash and newline only; quotes stay.
         assert '# HELP g rows "served"\\nper \\\\ second' in text
 
     def test_help_emitted_once_per_name_across_label_sets(self):
-        registry = MetricsRegistry()
-        registry.counter("m_total", shard="0").inc()
-        registry.counter("m_total", shard="1").inc()
+        registry = _registry(
+            counter("m_total", 1, shard="0"), counter("m_total", 1, shard="1")
+        )
         text = prometheus_text(registry)
         assert text.count("# HELP m_total") == 1
         assert text.count("# TYPE m_total") == 1
 
 
-class TestPublishers:
-    def test_publish_transport_traffic_maps_counters_and_gauges(self):
-        from repro.obs import publish_transport_traffic
-
+class TestSampleMappings:
+    def test_transport_traffic_samples_read_the_accumulators(self):
+        traffic = SimpleNamespace(bytes_local=300, bytes_remote=100)
+        transport_stats = SimpleNamespace(rounds=6, requests={"feature_rows": 9})
         registry = MetricsRegistry()
-        traffic = {
-            "shard_traffic": {
-                "features": {
-                    "local_rows": 10, "remote_rows": 4,
-                    "local_bytes": 400, "remote_bytes": 160,
-                },
-                "remote_byte_fraction": 0.25,
-            },
-            "transport": {
-                "rounds": 6,
-                "requests": {"feature_rows": 9},
-                "bytes_fetched": 560,
-            },
-        }
-        publish_transport_traffic(registry, traffic)
+        registry.register(lambda: transport_traffic_samples(traffic, transport_stats))
         snap = registry.snapshot()
-        assert snap["repro_fetch_rows_total{category=features,kind=local}"] == 10
-        assert snap["repro_fetch_rows_total{category=features,kind=remote}"] == 4
-        assert snap["repro_fetch_bytes_total{category=features,kind=remote}"] == 160
-        assert snap["repro_remote_byte_fraction"] == 0.25
-        assert snap["repro_transport_rounds_total"] == 6
-        assert snap["repro_transport_requests_total{op=feature_rows}"] == 9
-        assert snap["repro_transport_bytes_total"] == 560
-        # Publishing the same totals again is idempotent (resync, not replay).
-        publish_transport_traffic(registry, traffic)
-        assert registry.snapshot() == snap
+        assert snap == {
+            "repro_remote_byte_fraction": 0.25,
+            "repro_transport_rounds_total": 6.0,
+            "repro_transport_requests_total{op=feature_rows}": 9.0,
+        }
+        traffic.bytes_remote = 300
+        transport_stats.rounds = 7
+        snap = registry.snapshot()
+        assert snap["repro_remote_byte_fraction"] == 0.5
+        assert snap["repro_transport_rounds_total"] == 7.0
+
+    def test_no_traffic_reads_a_zero_fraction(self):
+        samples = transport_traffic_samples(
+            SimpleNamespace(bytes_local=0, bytes_remote=0),
+            SimpleNamespace(rounds=0, requests={}),
+        )
+        assert [(s.name, s.value) for s in samples] == [
+            ("repro_remote_byte_fraction", 0.0),
+            ("repro_transport_rounds_total", 0.0),
+        ]
 
 
 class TestSnapshotDictRoundTrips:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import ServingConfig, ShardConfig
+from repro.core import MonitorConfig, ServingConfig, ShardConfig
 from repro.exceptions import ConfigurationError, ServingError
-from repro.serving import SubmitOptions
+from repro.obs import HealthMonitor
+from repro.serving import FakeClock, SubmitOptions
 from repro.shard import GraphPartitioner, ShardRouter, ShardedPredictor
 
 SERVING = ServingConfig(
@@ -161,3 +162,61 @@ class TestLiveRollout:
         for server in old_servers:
             with pytest.raises(ServingError):
                 server.submit(np.array([0]))
+
+
+class TestRolloutMetrics:
+    """The scrape reads the active generation: retired series disappear."""
+
+    def test_scrape_after_shrinking_rollout_drops_retired_shards(
+        self, unsharded, tiny_dataset
+    ):
+        old = _sharded(unsharded, tiny_dataset, ShardConfig(num_shards=3))
+        new = _sharded(
+            unsharded, tiny_dataset, ShardConfig(num_shards=2), version=1
+        )
+        test_idx = tiny_dataset.split.test_idx
+        batches = [test_idx[i:i + 9] for i in range(0, test_idx.shape[0], 9)]
+        clock = FakeClock()
+        options = SubmitOptions(timeout=300.0)
+        with ShardRouter(old, SERVING) as router:
+            monitor = HealthMonitor(
+                router,
+                MonitorConfig(window_seconds=60.0, num_buckets=12),
+                clock=clock,
+            )
+            for batch in batches:
+                router.submit(batch, options).result(timeout=300.0)
+            clock.advance(1.0)
+            monitor.tick()
+            old_total = router.stats().requests_completed
+            text = router.metrics_text()
+            assert 'repro_shard_requests_completed_total{shard="2"}' in text
+            assert 'repro_shard_heat_window{shard="2"}' in text
+
+            router.install_plan(new)
+            router.finish_rollout(timeout=300.0)
+            for batch in batches[:2]:
+                router.submit(batch, options).result(timeout=300.0)
+            clock.advance(1.0)
+            monitor.tick()
+            stats = router.stats()
+            text = router.metrics_text()
+            snapshot = router.registry.snapshot()
+
+        # Only the active plan's two shards are exported, serving and window
+        # series alike.
+        assert 'shard="2"' not in text
+        for name in (
+            "repro_shard_requests_completed_total",
+            "repro_shard_request_rate_window",
+            "repro_shard_heat_window",
+        ):
+            shards = {
+                key for key in snapshot if key.startswith(name + "{")
+            }
+            assert shards == {f"{name}{{shard=0}}", f"{name}{{shard=1}}"}
+        # The fleet counters report the new generation's totals.
+        assert stats.requests_completed > 0
+        assert stats.requests_completed < old_total
+        assert snapshot["repro_requests_completed_total"] == stats.requests_completed
+        assert snapshot["repro_plan_version"] == 1.0

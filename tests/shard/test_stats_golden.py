@@ -5,10 +5,12 @@ replays, failures, waves and prefetches, with interval snapshots taken both
 with ``reset=False`` and ``reset=True`` — is rendered through every public
 stats surface: the cumulative and interval
 :class:`~repro.serving.ServingStatsSnapshot`, the merged
-:class:`~repro.shard.stats.ShardedStatsSnapshot` and the Prometheus text the
-router's registry exports.  ``stats_golden.json`` pins each output exactly
-(virtual time and fixed inputs make every value deterministic); any change
-to how the accumulators fold or render shows up as a diff here.
+:class:`~repro.shard.stats.ShardedStatsSnapshot` and the Prometheus text
+the router's registry collector renders through
+:func:`~repro.obs.sharded_snapshot_samples`.  ``stats_golden.json`` pins
+each output exactly (virtual time and fixed inputs make every value
+deterministic); any change to how the accumulators fold or render shows up
+as a diff here.
 """
 
 import json
@@ -18,8 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.inference import MACBreakdown, TimingBreakdown
-from repro.obs import MetricsRegistry, prometheus_text
-from repro.obs.registry import publish_sharded_snapshot
+from repro.obs import MetricsRegistry, prometheus_text, sharded_snapshot_samples
 from repro.serving import FakeClock, ServingStats, ServingStatsSnapshot
 from repro.shard.stats import (
     SUMMED_FIELDS,
@@ -136,7 +137,7 @@ def _scenario():
         transport_health_transitions=1,
     )
     registry = MetricsRegistry()
-    publish_sharded_snapshot(registry, fleet)
+    registry.register(lambda: sharded_snapshot_samples(fleet))
     return outputs, fleet, registry
 
 

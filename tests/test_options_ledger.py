@@ -15,6 +15,9 @@ import pytest
 
 import repro
 from repro.core import MonitorConfig, NAIConfig, ServingConfig, ShardConfig
+from repro.obs import HealthMonitor
+from repro.serving import ClusterBuilder
+from repro.shard import ShardRouter
 from repro.transport import SocketTransport
 
 LEDGER = [
@@ -92,3 +95,18 @@ def test_every_ledgered_field_is_read_by_the_library(config):
 def test_socket_transport_keywords_are_the_ledgered_ones():
     parameters = inspect.signature(SocketTransport.__init__).parameters
     assert set(parameters) - {"self"} == {"addresses", "timeout_seconds"}
+
+
+def test_shard_router_keywords_are_the_ledgered_ones():
+    parameters = inspect.signature(ShardRouter.__init__).parameters
+    assert set(parameters) - {"self"} == {"predictor", "config", "clock", "tracer"}
+
+
+def test_health_monitor_keywords_are_the_ledgered_ones():
+    parameters = inspect.signature(HealthMonitor.__init__).parameters
+    assert set(parameters) - {"self"} == {"router", "config", "clock"}
+
+
+def test_cluster_builder_takes_no_registry():
+    """A fleet's metrics live on its router's own registry."""
+    assert not hasattr(ClusterBuilder, "registry")
